@@ -20,10 +20,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import corpus, ground_truth, ingestion, simulator, squat_detector, tx_analysis, typoguard
-from .errors import BnsquatError, ConfigError, MissingPrerequisite, ParseError
+from .errors import BnsquatError, ConfigError, InsufficientNames, MissingPrerequisite, ParseError
 from .similarity import TrigramProvider, wallet_similarity
-from .typo_models import alphabet_for_namespace
-from .errors import InsufficientNames
 
 log = logging.getLogger(__name__)
 
@@ -126,7 +124,7 @@ def cmd_ingest(args) -> int:
                         "receiver": tx.receiver,
                         "amount": round(tx.amount, 9),
                         "asset": tx.asset,
-                        "timestamp": tx.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                        "timestamp": tx.timestamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
                         "origin": tx.origin,
                     }
                 )
@@ -151,32 +149,37 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _load_ingested(out_dir: Path):
-    ingested = out_dir / "ingested"
-    dataset = corpus.load_registrations(_read_jsonl(_require(ingested / "registrations.jsonl", "ingest")))
-    tx_records = _read_jsonl(_require(ingested / "transactions.jsonl", "ingest"))
-    store = tx_analysis.TxStore(
+def _load_dataset(out: Path) -> corpus.Dataset:
+    return corpus.load_registrations(_read_jsonl(_require(out / "ingested" / "registrations.jsonl", "ingest")))
+
+
+def _load_store(out: Path) -> tx_analysis.TxStore:
+    tx_records = _read_jsonl(_require(out / "ingested" / "transactions.jsonl", "ingest"))
+    return tx_analysis.TxStore(
         tx_analysis.parse_transaction_record(obj, line=i + 1) for i, obj in enumerate(tx_records)
     )
-    labels_path = ingested / "labels.jsonl"
-    labels = (
-        ground_truth.AddressLabelSet.from_records(_read_jsonl(labels_path))
-        if labels_path.exists()
-        else ground_truth.AddressLabelSet()
-    )
-    prices_path = ingested / "prices.csv"
-    prices = None
-    if prices_path.exists():
-        with open(prices_path) as fh:
-            prices = tx_analysis.PriceTable.from_csv(fh)
-    return dataset, store, labels, prices
+
+
+def _load_labels(out: Path) -> ground_truth.AddressLabelSet:
+    path = out / "ingested" / "labels.jsonl"
+    if not path.exists():
+        return ground_truth.AddressLabelSet()
+    return ground_truth.AddressLabelSet.from_records(_read_jsonl(path))
+
+
+def _load_prices(out: Path) -> tx_analysis.PriceTable | None:
+    path = out / "ingested" / "prices.csv"
+    if not path.exists():
+        return None
+    with open(path) as fh:
+        return tx_analysis.PriceTable.from_csv(fh)
 
 
 def cmd_score(args) -> int:
     out = Path(args.out)
-    dataset, store, labels, _ = _load_ingested(out)
-    stats = ground_truth.compute_wallet_stats(dataset, store.tx_count_index())
-    stats = ground_truth.filter_labeled(stats, labels)
+    dataset = _load_dataset(out)
+    stats = ground_truth.compute_wallet_stats(dataset, _load_store(out).tx_count_index())
+    stats = ground_truth.filter_labeled(stats, _load_labels(out))
     ranked = ground_truth.rank_wallets(stats)
     targets = ground_truth.select_targets(
         stats, dataset, top_n=args.top_n, min_label_len=args.min_label_len
@@ -203,7 +206,7 @@ def cmd_score(args) -> int:
 
 def cmd_detect(args) -> int:
     out = Path(args.out)
-    dataset, _, _, _ = _load_ingested(out)
+    dataset = _load_dataset(out)
     target_objs = json.loads(_require(out / "score" / "targets.json", "score").read_text())
     targets = [corpus.normalize_name(t["display"], t["namespace"]) for t in target_objs]
     clusters = squat_detector.detect(targets, dataset, cross_tld=args.cross_tld)
@@ -269,8 +272,9 @@ def _load_clusters(out: Path, dataset: corpus.Dataset) -> list[squat_detector.Sq
 
 def cmd_analyze_tx(args) -> int:
     out = Path(args.out)
-    dataset, store, labels, prices = _load_ingested(out)
+    dataset = _load_dataset(out)
     clusters = _load_clusters(out, dataset)
+    store, labels, prices = _load_store(out), _load_labels(out), _load_prices(out)
     records = []
     for cluster in clusters:
         records.extend(tx_analysis.common_senders(cluster, store, labels, prices))
@@ -312,7 +316,7 @@ def cmd_analyze_tx(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    dataset, _, _, _ = _load_ingested(out)
+    dataset = _load_dataset(out)
     clusters = _load_clusters(out, dataset)
     stats = squat_detector.registration_stats(clusters)
     report_dir = out / "report"
@@ -404,13 +408,11 @@ def cmd_guard_check(args) -> int:
     if args.popular:
         with open(args.popular) as fh:
             popular = typoguard.load_name_list(fh)
-    ns = args.namespace or (
-        "adah" if args.recipient.startswith("$")
-        else "eth" if args.recipient.endswith(".eth")
-        else "ud:" + args.recipient.rsplit(".", 1)[1]
-    )
-    recipient = corpus.normalize_name(args.recipient, ns)
-    verdict = typoguard.check(history, blocklist, popular, recipient, alphabet_for_namespace(ns))
+    if args.namespace:
+        recipient = corpus.normalize_name(args.recipient, args.namespace)
+    else:
+        recipient = corpus.parse_display(args.recipient)
+    verdict = typoguard.check(history, blocklist, popular, recipient)
     print(
         json.dumps(
             {
@@ -446,19 +448,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default="out", help="artifact output directory")
-        p.add_argument("--data-dir", default=None)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--fixed-clock", action="store_true",
                        help="omit wall-clock timestamps for reproducible outputs")
 
     p = sub.add_parser("simulate", help="generate a synthetic fixture set")
     common(p)
+    p.add_argument("--data-dir", default=None, help="fixture directory (default: <out>/fixtures)")
     p.add_argument("--scenario", default=None, help="scenario JSON file")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ingest", help="drain fixtures into normalized artifacts")
     common(p)
+    p.add_argument("--data-dir", default=None, help="fixture directory to drain (required)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("score", help="rank wallets and select targets")
@@ -483,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("guard-check", help="cold/warm typo check for one recipient")
-    common(p)
     p.add_argument("--history", default=None)
     p.add_argument("--blocklist", default=None)
     p.add_argument("--popular", default=None)

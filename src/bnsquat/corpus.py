@@ -78,6 +78,25 @@ def normalize_name(raw: str, namespace: str) -> Name:
     return Name(label=_to_punycode(label), namespace=namespace)
 
 
+def _tld(display: str) -> str:
+    if "." not in display:
+        raise ParseError(f"display {display!r} has no TLD", field="display")
+    return display.rsplit(".", 1)[1].lower()
+
+
+def parse_display(display: str) -> Name:
+    """Parse "$x" (ADA Handle), "x.eth" or "x.<tld>" (UD) into a Name; ParseError
+    if there is no TLD. "$" goes first: ADA Handles may hold ".", ENS labels no "$".
+    """
+    display = display.strip().lower()
+    if display.startswith("$"):
+        namespace = "adah"
+    else:
+        tld = _tld(display)
+        namespace = "eth" if tld == "eth" else "ud:" + tld
+    return normalize_name(display, namespace)
+
+
 def namespace_for_source(source: str) -> str | None:
     """Fixed namespace for sources that imply one; UD sources carry per-record TLDs."""
     return {"ens": "eth", "adah": "adah"}.get(source)
@@ -90,9 +109,7 @@ def infer_namespace(display: str, source: str) -> str:
         return ns
     if source not in SOURCES:
         raise UnknownNamespace(f"unknown source {source!r}")
-    if "." not in display:
-        raise ParseError(f"UD display {display!r} has no TLD", field="display")
-    return "ud:" + display.rsplit(".", 1)[1].lower()
+    return "ud:" + _tld(display)
 
 
 @dataclass(frozen=True)

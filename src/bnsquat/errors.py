@@ -28,10 +28,6 @@ class ParseError(BnsquatError):
         super().__init__(message + loc)
 
 
-class MissingResolution(BnsquatError):
-    """A name has no resolution address on the chain needed for an analysis."""
-
-
 class MissingRate(BnsquatError):
     """No USD closing rate for a (date, asset) pair."""
 

@@ -17,7 +17,6 @@ from .errors import ParseError
 log = logging.getLogger(__name__)
 
 DEFAULT_TOP_N = 10_000
-DEFAULT_TOP_N_ADAH = 1_000
 DEFAULT_MIN_LABEL_LEN = 5
 
 
@@ -26,7 +25,6 @@ class WalletStats:
     address: str
     w_t: int  # transactions linked to the resolution address
     w_d: int  # distinct names resolving to it
-    flags: frozenset[str] = frozenset()
 
     @property
     def score(self) -> float:

@@ -139,10 +139,6 @@ class RateLimitedSource:
         return self._source.fetch_page(cursor)
 
 
-def rate_limited(source: PagedSource, budget: int, interval: float = 1.0) -> RateLimitedSource:
-    return RateLimitedSource(source, budget, interval)
-
-
 class FixturePriceSource:
     """PriceSource over the fixture prices.csv."""
 

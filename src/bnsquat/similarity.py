@@ -98,6 +98,12 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector("cosine undefined for zero vectors")
+    if not (1e-150 < nu < 1e150 and 1e-150 < nv < 1e150):
+        # The squares summed into a norm this far out lose precision or overflow.
+        # Cosine is scale-invariant, and scaling by a power of two is exact.
+        u = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
+        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     return float(np.dot(u, v) / (nu * nv))
 
 

@@ -18,7 +18,7 @@ from .similarity import (
     NOT_SIMILAR_BELOW,
     SimilaritySummary,
 )
-from .typo_models import TypoModel, TypoVariant, generate_all
+from .typo_models import TypoModel, generate_all
 
 log = logging.getLogger(__name__)
 
@@ -53,28 +53,19 @@ class SquatterProfile:
     typo_names: int
     total_domains_owned: int
     namespaces: set[str]
-    campaign_style: CampaignStyle = CampaignStyle.UNCLASSIFIED
 
 
-def _candidate_namespaces(target: Name, dataset: Dataset, cross_tld: bool) -> list[str]:
-    if not cross_tld or not target.namespace.startswith("ud:"):
-        return [target.namespace]
-    return sorted(ns for ns in dataset.namespaces if ns.startswith("ud:"))
-
-
-def detect(
-    targets: list[Name],
-    dataset: Dataset,
-    alphabet: str | None = None,
-    cross_tld: bool = False,
-) -> list[SquatCluster]:
+def detect(targets: list[Name], dataset: Dataset, cross_tld: bool = False) -> list[SquatCluster]:
     """Build squat clusters for each target.
 
     Variants that are themselves targets or that predate the target are dropped;
     variants sharing the target's owner go under defensive. Clusters with no
     squats and no defensive entries are omitted. Output order follows target rank.
+    With ``cross_tld``, variants of a UD target are probed under every UD TLD
+    in the dataset.
     """
     target_displays = {t.display for t in targets}
+    ud_namespaces = sorted(ns for ns in dataset.namespaces if ns.startswith("ud:")) if cross_tld else []
     clusters: list[SquatCluster] = []
     for target in targets:
         target_reg = dataset.by_display.get(target.display)
@@ -82,16 +73,16 @@ def detect(
             log.warning("target %s not in dataset; skipped", target.display)
             continue
         cluster = SquatCluster(target=target_reg)
-        seen: set[str] = set()
-        for variant in sorted(generate_all(target, alphabet), key=lambda v: v.variant_label):
-            for namespace in _candidate_namespaces(target, dataset, cross_tld):
+        namespaces = ud_namespaces if target.namespace.startswith("ud:") and cross_tld else [target.namespace]
+        # No display repeats: generate_all yields each label once and a TLD holds no ".".
+        for variant in sorted(generate_all(target), key=lambda v: v.variant_label):
+            for namespace in namespaces:
                 display = Name(variant.variant_label, namespace).display
-                if display in target_displays or display in seen:
+                if display in target_displays:
                     continue
                 reg = dataset.by_display.get(display)
                 if reg is None or reg.registered_at < target_reg.registered_at:
                     continue
-                seen.add(display)
                 if reg.owner == target_reg.owner:
                     cluster.defensive.append(reg)
                 else:

@@ -119,15 +119,13 @@ def parse_utxo_record(obj: dict, line: int | None = None) -> UtxoRecord:
 
 
 class TxStore:
-    """Immutable index of transactions by receiver and by sender."""
+    """Immutable index of transactions by receiver."""
 
     def __init__(self, txs: Iterable[Transaction] = ()):
         self.transactions: list[Transaction] = list(txs)
         self.by_receiver: dict[str, list[Transaction]] = defaultdict(list)
-        self.by_sender: dict[str, list[Transaction]] = defaultdict(list)
         for tx in self.transactions:
             self.by_receiver[tx.receiver].append(tx)
-            self.by_sender[tx.sender].append(tx)
 
     def __len__(self) -> int:
         return len(self.transactions)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, TextIO
 
-from .corpus import Name, normalize_name
+from .corpus import Name, parse_display
 from .typo_models import TypoModel, alphabet_for_namespace, classify, primary_model
 
 
@@ -49,21 +49,16 @@ class GuardHistory:
     """User-local record of names previously sent to. Single-writer."""
 
     entries: dict[str, HistoryEntry] = field(default_factory=dict)
-    _names_cache: list[Name] | None = field(default=None, repr=False, compare=False)
+    # Names in entry order: parsed on the first names() call, then extended by record_send.
+    _names: list[Name] | None = field(default=None, repr=False, compare=False)
 
     def __contains__(self, name: Name) -> bool:
         return name.display in self.entries
 
     def names(self) -> list[Name]:
-        if self._names_cache is None or len(self._names_cache) != len(self.entries):
-            out = []
-            for display in self.entries:
-                ns = "eth" if display.endswith(".eth") else "adah" if display.startswith("$") else None
-                if ns is None:
-                    ns = "ud:" + display.rsplit(".", 1)[1]
-                out.append(normalize_name(display, ns))
-            self._names_cache = out
-        return self._names_cache
+        if self._names is None:
+            self._names = [parse_display(display) for display in self.entries]
+        return self._names
 
     def dump(self, fh: TextIO) -> None:
         for display, entry in sorted(self.entries.items()):
@@ -99,6 +94,8 @@ def record_send(history: GuardHistory, name: Name, at: datetime | None = None) -
     entry = history.entries.get(name.display)
     if entry is None:
         history.entries[name.display] = HistoryEntry(first_used=at, last_used=at)
+        if history._names is not None:
+            history._names.append(name)
     else:
         entry.send_count += 1
         entry.last_used = max(entry.last_used, at)
@@ -144,20 +141,11 @@ def check(
     return GuardVerdict(Decision.ALLOW)
 
 
-def load_name_list(lines: Iterable[str], namespace_hint: str | None = None) -> set[Name]:
+def load_name_list(lines: Iterable[str]) -> set[Name]:
     """Parse a blocklist/popular-list file: one display per line, "#" comments."""
     names: set[Name] = set()
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if namespace_hint:
-            ns = namespace_hint
-        elif line.startswith("$"):
-            ns = "adah"
-        elif line.endswith(".eth"):
-            ns = "eth"
-        else:
-            ns = "ud:" + line.rsplit(".", 1)[1]
-        names.add(normalize_name(line, ns))
+        if line:
+            names.add(parse_display(line))
     return names

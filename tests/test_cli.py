@@ -152,6 +152,33 @@ def test_guard_check_allows_history_hit(tmp_path, capsys):
     assert verdict["decision"] == "ALLOW"
 
 
+@pytest.mark.parametrize(
+    "popular_line, recipient",
+    [("johndoe", "johndoa.eth"), ("johndoe.eth", "johndoa")],
+)
+def test_guard_check_display_without_tld_is_data_error(tmp_path, capsys, popular_line, recipient):
+    popular = tmp_path / "popular.txt"
+    popular.write_text(popular_line + "\n")
+    assert main(["guard-check", "--popular", str(popular), "--recipient", recipient]) == 3
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "data"
+
+
+def test_ingest_writes_utxo_timestamps_in_utc(tmp_path):
+    data = tmp_path / "fixtures"
+    (data / "registrations").mkdir(parents=True)
+    (data / "registrations" / "corpus.jsonl").write_text(json.dumps(
+        {"display": "$handle", "owner": "addr_owner", "registered_at": "2021-01-01T00:00:00Z", "source": "adah"}
+    ) + "\n")
+    (data / "utxos").mkdir()
+    (data / "utxos" / "utxos.jsonl").write_text(json.dumps(
+        {"hash": "h1", "inputs": ["addr_a", "addr_b"], "output": "addr_c", "amount": 4.0,
+         "timestamp": "2021-06-01T23:30:00+02:00"}
+    ) + "\n")
+    assert main(["ingest", "--out", str(tmp_path / "out"), "--data-dir", str(data)]) == 0
+    lines = (tmp_path / "out" / "ingested" / "transactions.jsonl").read_text().splitlines()
+    assert [json.loads(line)["timestamp"] for line in lines] == ["2021-06-01T21:30:00Z"] * 2
+
+
 def test_fixed_clock_reruns_are_byte_identical(tmp_path):
     def run(out: Path):
         base = ["--out", str(out), "--fixed-clock"]

@@ -10,6 +10,7 @@ from bnsquat.corpus import (
     iter_jsonl,
     load_registrations,
     normalize_name,
+    parse_display,
 )
 from bnsquat.errors import EmptyLabel, ParseError, UnknownNamespace
 
@@ -52,6 +53,34 @@ def test_normalize_idempotent(raw):
     except EmptyLabel:
         return
     assert normalize_name(first.label, "adah").label == first.label
+
+
+@pytest.mark.parametrize(
+    "display, expected",
+    [
+        ("vitalik.eth", Name("vitalik", "eth")),
+        ("$handle", Name("handle", "adah")),
+        ("wallet.crypto", Name("wallet", "ud:crypto")),
+        (" VITALIK.ETH ", Name("vitalik", "eth")),
+        ("Wallet.NFT", Name("wallet", "ud:nft")),
+        # "$" wins over the suffix: ADA Handles may hold ".", ENS labels no "$".
+        ("$john.eth", Name("john.eth", "adah")),
+        ("funds.johndoe.eth", Name("funds.johndoe", "eth")),
+    ],
+)
+def test_parse_display(display, expected):
+    assert parse_display(display) == expected
+
+
+@pytest.mark.parametrize(
+    "display, error",
+    [("johndoe", ParseError), ("", ParseError), (".eth", EmptyLabel), ("$", EmptyLabel), ("john.", UnknownNamespace)],
+)
+def test_parse_display_rejects(display, error):
+    with pytest.raises(error) as exc:
+        parse_display(display)
+    if error is ParseError:
+        assert exc.value.field == "display"
 
 
 def test_infer_namespace():

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import io
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bnsquat.corpus import Name
+from bnsquat import typoguard
+from bnsquat.corpus import Name, parse_display
+from bnsquat.errors import ParseError
 from bnsquat.typo_models import TypoModel, generate_all
 from bnsquat.typoguard import (
     Decision,
@@ -21,9 +24,7 @@ from conftest import ts
 def hist(*displays):
     h = GuardHistory()
     for i, d in enumerate(displays):
-        ns = "adah" if d.startswith("$") else "eth"
-        label = d.removeprefix("$").removesuffix(".eth")
-        record_send(h, Name(label, ns), at=ts(2021, 1, 1 + i))
+        record_send(h, parse_display(d), at=ts(2021, 1, 1 + i))
     return h
 
 
@@ -77,6 +78,33 @@ def test_namespace_separation():
     assert verdict.decision is Decision.ALLOW
 
 
+def test_warm_rule_keeps_an_ada_handle_ending_in_eth():
+    # $john.eth is an ADA Handle; john.etx is one edit from it.
+    verdict = check(hist("$john.eth"), set(), set(), Name("john.etx", "adah"))
+    assert (verdict.decision, verdict.reason) == (Decision.WARN, Reason.WARM_VARIANT_OF_HISTORY)
+    assert verdict.matched_target == Name("john.eth", "adah")
+
+
+def test_loaded_history_parses_each_display_as_its_namespace():
+    h = GuardHistory.load(
+        {"display": d, "first_used": "2021-01-01T00:00:00+00:00",
+         "last_used": "2021-01-01T00:00:00+00:00", "send_count": 1}
+        for d in ("vitalik.eth", "$john.eth", "wallet.crypto")
+    )
+    assert h.names() == [Name("vitalik", "eth"), Name("john.eth", "adah"), Name("wallet", "ud:crypto")]
+
+
+def test_record_send_after_names_adds_the_name_without_parsing(monkeypatch):
+    h = hist("vitalik.eth")
+    assert h.names() == [Name("vitalik", "eth")]
+    calls = []
+    monkeypatch.setattr(typoguard, "parse_display", lambda d: calls.append(d))
+    record_send(h, Name("walrus", "ud:crypto"), at=ts(2022))
+    record_send(h, Name("vitalik", "eth"), at=ts(2022))
+    assert h.names() == [Name("vitalik", "eth"), Name("walrus", "ud:crypto")]
+    assert calls == []
+
+
 def test_record_send_updates_counts():
     h = hist("vitalik.eth")
     record_send(h, Name("vitalik", "eth"), at=ts(2022))
@@ -104,6 +132,7 @@ def test_load_name_list():
             "vitalik.eth  # trailing comment",
             "$handle",
             "wallet.crypto",
+            "VITALIK.ETH",
             "",
         ]
     )
@@ -112,6 +141,11 @@ def test_load_name_list():
         Name("handle", "adah"),
         Name("wallet", "ud:crypto"),
     }
+
+
+def test_load_name_list_rejects_a_line_without_tld():
+    with pytest.raises(ParseError):
+        load_name_list(["vitalik.eth", "johndoe"])
 
 
 LABELS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=5, max_size=12)
