@@ -400,11 +400,11 @@ def cmd_guard_check(args) -> int:
     history = typoguard.GuardHistory()
     if args.history and Path(args.history).exists():
         history = typoguard.GuardHistory.load(_read_jsonl(Path(args.history)))
-    blocklist = set()
+    blocklist = typoguard.NameIndex()
     if args.blocklist:
         with open(args.blocklist) as fh:
             blocklist = typoguard.load_name_list(fh)
-    popular = set()
+    popular = typoguard.NameIndex()
     if args.popular:
         with open(args.popular) as fh:
             popular = typoguard.load_name_list(fh)

@@ -87,14 +87,22 @@ def _tld(display: str) -> str:
 def parse_display(display: str) -> Name:
     """Parse "$x" (ADA Handle), "x.eth" or "x.<tld>" (UD) into a Name; ParseError
     if there is no TLD. "$" goes first: ADA Handles may hold ".", ENS labels no "$".
+    Errors are those of ``normalize_name(display, <namespace>)``.
     """
     display = display.strip().lower()
     if display.startswith("$"):
-        namespace = "adah"
+        label, namespace = display[1:], "adah"
     else:
-        tld = _tld(display)
+        label, dot, tld = display.rpartition(".")
+        if not dot:
+            raise ParseError(f"display {display!r} has no TLD", field="display")
         namespace = "eth" if tld == "eth" else "ud:" + tld
-    return normalize_name(display, namespace)
+    if not label:
+        if not _valid_namespace(namespace):
+            raise UnknownNamespace(f"unknown namespace {namespace!r}")
+        raise EmptyLabel(f"nothing left of {display!r} after stripping")
+    # Name checks the namespace.
+    return Name(_to_punycode(label), namespace)
 
 
 def namespace_for_source(source: str) -> str | None:

@@ -11,9 +11,10 @@ import enum
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, TextIO
+from typing import Container, Iterable, Iterator, TextIO
 
 from .corpus import Name, parse_display
+from .errors import ParseError
 from .typo_models import TypoModel, alphabet_for_namespace, classify, primary_model
 
 
@@ -37,11 +38,101 @@ class GuardVerdict:
     model: TypoModel | None = None
 
 
+class NameIndex:
+    """A set of Names that narrows a search for the stored names one edit from a given one.
+
+    Each name is filed under its namespace, its label length ``n`` and each of
+    two halves of its label: ``label[:n // 2]`` and ``label[n // 2 + 1:]``. One
+    optimal-string-alignment edit (substitution, insertion, deletion or
+    adjacent swap) leaves at least one half where it was: the prefix at the
+    start of the edited label or the suffix at its end. The middle character
+    belongs to neither half, so a swap across the split leaves one half whole.
+    ``near`` therefore costs two dict lookups for each of the lengths n - 1, n
+    and n + 1, however many names are stored.
+    """
+
+    def __init__(self, names: Iterable[Name] = ()):
+        self._names: list[Name] = []  # in insertion order; the halves map to positions here
+        self._labels: dict[str, set[str]] = {}  # namespace -> labels
+        # Each half maps to the last position filed under it, and that position's
+        # link to the one filed before it (-1 ends the chain). Flat int lists keep
+        # the build to one pass with no per-key container for the collector to walk.
+        self._prefixes: dict[tuple, int] = {}
+        self._suffixes: dict[tuple, int] = {}
+        self._prefix_links: list[int] = []
+        self._suffix_links: list[int] = []
+        for name in names:
+            self.add(name)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __iter__(self) -> Iterator[Name]:
+        return iter(self._names)
+
+    def __contains__(self, name: Name) -> bool:
+        labels = self._labels.get(name.namespace)
+        return labels is not None and name.label in labels
+
+    def add(self, name: Name) -> None:
+        """Store a name; a name already stored keeps its first position."""
+        label, namespace = name.label, name.namespace
+        labels = self._labels.get(namespace)
+        if labels is None:
+            labels = self._labels[namespace] = set()
+        elif label in labels:
+            return
+        labels.add(label)
+        pos = len(self._names)
+        self._names.append(name)
+        n = len(label)
+        half = n // 2
+        key = namespace, n, label[:half]
+        self._prefix_links.append(self._prefixes.get(key, -1))
+        self._prefixes[key] = pos
+        key = namespace, n, label[half + 1 :]
+        self._suffix_links.append(self._suffixes.get(key, -1))
+        self._suffixes[key] = pos
+
+    def near(self, name: Name) -> list[Name]:
+        """Every stored name that may be one edit from ``name``, in insertion order.
+
+        The result can hold names further away; the caller confirms each one.
+        """
+        label, namespace = name.label, name.namespace
+        m = len(label)
+        found: set[int] = set()
+        for n in (m - 1, m, m + 1):
+            half = n // 2
+            pos = self._prefixes.get((namespace, n, label[:half]), -1)
+            while pos >= 0:
+                found.add(pos)
+                pos = self._prefix_links[pos]
+            pos = self._suffixes.get((namespace, n, label[m - n + half + 1 :]), -1)
+            while pos >= 0:
+                found.add(pos)
+                pos = self._suffix_links[pos]
+        return [self._names[pos] for pos in sorted(found)]
+
+
 @dataclass
 class HistoryEntry:
     first_used: datetime
     last_used: datetime
     send_count: int = 1
+
+
+def _timestamp(value, line: int, key: str) -> datetime:
+    """A history timestamp that ``fromisoformat`` rejected, or a ParseError.
+
+    Python 3.10's ``fromisoformat`` does not read a trailing "Z"; later ones do.
+    """
+    if isinstance(value, str) and value.endswith("Z"):
+        try:
+            return datetime.fromisoformat(value[:-1] + "+00:00")
+        except ValueError:
+            pass
+    raise ParseError(f"not an ISO 8601 timestamp: {value!r}", line=line, field=key)
 
 
 @dataclass
@@ -51,6 +142,8 @@ class GuardHistory:
     entries: dict[str, HistoryEntry] = field(default_factory=dict)
     # Names in entry order: parsed on the first names() call, then extended by record_send.
     _names: list[Name] | None = field(default=None, repr=False, compare=False)
+    # The same names for the warm rule: built on its first use, then extended by record_send.
+    _index: NameIndex | None = field(default=None, repr=False, compare=False)
 
     def __contains__(self, name: Name) -> bool:
         return name.display in self.entries
@@ -59,6 +152,12 @@ class GuardHistory:
         if self._names is None:
             self._names = [parse_display(display) for display in self.entries]
         return self._names
+
+    def near(self, name: Name) -> list[Name]:
+        """History names that may be one edit from ``name``, in entry order."""
+        if self._index is None:
+            self._index = NameIndex(self.names())
+        return self._index.near(name)
 
     def dump(self, fh: TextIO) -> None:
         for display, entry in sorted(self.entries.items()):
@@ -77,13 +176,31 @@ class GuardHistory:
 
     @classmethod
     def load(cls, records: Iterable[dict]) -> "GuardHistory":
+        """Build a history from its JSONL records; ParseError names the line and field."""
         history = cls()
-        for obj in records:
-            history.entries[obj["display"]] = HistoryEntry(
-                first_used=datetime.fromisoformat(obj["first_used"]),
-                last_used=datetime.fromisoformat(obj["last_used"]),
-                send_count=int(obj["send_count"]),
-            )
+        for line, obj in enumerate(records, 1):
+            try:
+                display, first, last = obj["display"], obj["first_used"], obj["last_used"]
+                count = obj["send_count"]
+            except KeyError as exc:
+                raise ParseError("missing field", line=line, field=exc.args[0]) from None
+            except TypeError as exc:
+                raise ParseError(f"record must be an object, not {type(obj).__name__}", line=line) from exc
+            if not isinstance(display, str):
+                raise ParseError(f"display must be a string: {display!r}", line=line, field="display")
+            try:
+                send_count = int(count)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"not an integer: {count!r}", line=line, field="send_count") from exc
+            try:
+                first_used = datetime.fromisoformat(first)
+            except (TypeError, ValueError):
+                first_used = _timestamp(first, line, "first_used")
+            try:
+                last_used = datetime.fromisoformat(last)
+            except (TypeError, ValueError):
+                last_used = _timestamp(last, line, "last_used")
+            history.entries[display] = HistoryEntry(first_used, last_used, send_count)
         return history
 
 
@@ -96,35 +213,34 @@ def record_send(history: GuardHistory, name: Name, at: datetime | None = None) -
         history.entries[name.display] = HistoryEntry(first_used=at, last_used=at)
         if history._names is not None:
             history._names.append(name)
+        if history._index is not None:
+            history._index.add(name)
     else:
         entry.send_count += 1
         entry.last_used = max(entry.last_used, at)
     return history
 
 
-def _first_variant_match(recipient: Name, candidates: Iterable[Name], alphabet: str) -> tuple[Name, TypoModel] | None:
-    # Only same-namespace names of length within one edit can match; cheap pre-filter.
-    rlen = len(recipient.label)
+def _variants_of(recipient: Name, candidates: Iterable[Name], alphabet: str) -> Iterator[tuple[Name, TypoModel]]:
+    """(candidate, model) for each candidate the recipient is a one-typo variant of."""
     for cand in candidates:
-        if cand.namespace != recipient.namespace or abs(len(cand.label) - rlen) > 1:
-            continue
         models = classify(recipient.label, cand.label, alphabet)
         if models:
-            return cand, primary_model(models)
-    return None
+            yield cand, primary_model(models)
 
 
 def check(
     history: GuardHistory,
-    blocklist: set[Name],
-    popular: set[Name],
+    blocklist: Container[Name],
+    popular: NameIndex,
     recipient: Name,
     alphabet: str | None = None,
 ) -> GuardVerdict:
     """Evaluate a recipient against history and the cold/warm rules.
 
     Order: known-good history hit allows; blocklist hit warns; variant of a
-    popular name warns (cold); variant of a history name warns (warm); else allow.
+    popular name warns (cold), reporting the display-smallest one; variant of a
+    history name warns (warm), reporting the earliest entry; else allow.
     """
     if alphabet is None:
         alphabet = alphabet_for_namespace(recipient.namespace)
@@ -132,18 +248,19 @@ def check(
         return GuardVerdict(Decision.ALLOW)
     if recipient in blocklist:
         return GuardVerdict(Decision.WARN, Reason.COLD_BLOCKLIST)
-    hit = _first_variant_match(recipient, sorted(popular, key=lambda n: n.display), alphabet)
+    # Display order is not label order ("ab-c.eth" < "ab.eth"), so compare displays.
+    hit = min(_variants_of(recipient, popular.near(recipient), alphabet), key=lambda h: h[0].display, default=None)
     if hit:
         return GuardVerdict(Decision.WARN, Reason.COLD_VARIANT_OF_POPULAR, *hit)
-    hit = _first_variant_match(recipient, history.names(), alphabet)
+    hit = next(_variants_of(recipient, history.near(recipient), alphabet), None)
     if hit:
         return GuardVerdict(Decision.WARN, Reason.WARM_VARIANT_OF_HISTORY, *hit)
     return GuardVerdict(Decision.ALLOW)
 
 
-def load_name_list(lines: Iterable[str]) -> set[Name]:
+def load_name_list(lines: Iterable[str]) -> NameIndex:
     """Parse a blocklist/popular-list file: one display per line, "#" comments."""
-    names: set[Name] = set()
+    names = NameIndex()
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if line:

@@ -163,6 +163,35 @@ def test_guard_check_display_without_tld_is_data_error(tmp_path, capsys, popular
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "data"
 
 
+HISTORY_RECORD = {"display": "vitalik.eth", "first_used": "2021-01-01T00:00:00+00:00",
+                  "last_used": "2021-01-01T00:00:00+00:00", "send_count": 1}
+
+
+@pytest.mark.parametrize(
+    "second, field",
+    [
+        ({k: v for k, v in HISTORY_RECORD.items() if k != "first_used"}, "first_used"),
+        (dict(HISTORY_RECORD, send_count="x"), "send_count"),
+    ],
+)
+def test_guard_check_malformed_history_is_data_error(tmp_path, capsys, second, field):
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(dict(HISTORY_RECORD, display="walrus.eth")) + "\n" + json.dumps(second) + "\n")
+    assert main(["guard-check", "--history", str(history), "--recipient", "vitalikk.eth"]) == 3
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "data"
+    assert f"(line 2, field '{field}')" in error["message"]
+
+
+def test_guard_check_reads_history_timestamps_ending_in_z(tmp_path, capsys):
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(
+        dict(HISTORY_RECORD, first_used="2021-01-01T00:00:00Z", last_used="2021-02-01T00:00:00Z")) + "\n")
+    assert main(["guard-check", "--history", str(history), "--recipient", "vitalikk.eth"]) == 0
+    verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (verdict["reason"], verdict["matched_target"]) == ("WarmVariantOfHistory", "vitalik.eth")
+
+
 def test_ingest_writes_utxo_timestamps_in_utc(tmp_path):
     data = tmp_path / "fixtures"
     (data / "registrations").mkdir(parents=True)
