@@ -57,9 +57,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path) -> tuple[list[int], list]:
+    """The file line of each record of a JSONL file, and the records."""
     with open(path) as fh:
-        return list(corpus.iter_jsonl(fh))
+        numbered = list(corpus.iter_jsonl(fh))
+    return [line for line, _ in numbered], [obj for _, obj in numbered]
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -150,13 +152,14 @@ def cmd_ingest(args) -> int:
 
 
 def _load_dataset(out: Path) -> corpus.Dataset:
-    return corpus.load_registrations(_read_jsonl(_require(out / "ingested" / "registrations.jsonl", "ingest")))
+    lines, records = _read_jsonl(_require(out / "ingested" / "registrations.jsonl", "ingest"))
+    return corpus.load_registrations(records, lines)
 
 
 def _load_store(out: Path) -> tx_analysis.TxStore:
-    tx_records = _read_jsonl(_require(out / "ingested" / "transactions.jsonl", "ingest"))
+    lines, records = _read_jsonl(_require(out / "ingested" / "transactions.jsonl", "ingest"))
     return tx_analysis.TxStore(
-        tx_analysis.parse_transaction_record(obj, line=i + 1) for i, obj in enumerate(tx_records)
+        tx_analysis.parse_transaction_record(obj, line=line) for line, obj in zip(lines, records)
     )
 
 
@@ -164,7 +167,7 @@ def _load_labels(out: Path) -> ground_truth.AddressLabelSet:
     path = out / "ingested" / "labels.jsonl"
     if not path.exists():
         return ground_truth.AddressLabelSet()
-    return ground_truth.AddressLabelSet.from_records(_read_jsonl(path))
+    return ground_truth.AddressLabelSet.from_records(_read_jsonl(path)[1])
 
 
 def _load_prices(out: Path) -> tx_analysis.PriceTable | None:
@@ -253,19 +256,30 @@ def cmd_detect(args) -> int:
 
 
 def _load_clusters(out: Path, dataset: corpus.Dataset) -> list[squat_detector.SquatCluster]:
+    """The clusters ``detect`` wrote; a malformed entry, or a display not in
+    ``dataset``, is a ParseError naming the line and field."""
+
+    def registration(display, line: int, field: str) -> corpus.Registration:
+        try:
+            return dataset.by_display[display]
+        except (KeyError, TypeError):
+            raise ParseError(f"{display!r} is not a registered display", line=line, field=field) from None
+
+    lines, records = _read_jsonl(_require(out / "detect" / "clusters.jsonl", "detect"))
     clusters = []
-    for obj in _read_jsonl(_require(out / "detect" / "clusters.jsonl", "detect")):
-        target = dataset.by_display[obj["target"]]
-        cluster = squat_detector.SquatCluster(target=target)
+    for line, obj in zip(lines, records):
+        corpus.require_fields(obj, ("target", "squats", "defensive"), line)
+        cluster = squat_detector.SquatCluster(target=registration(obj["target"], line, "target"))
         for s in obj["squats"]:
+            corpus.require_fields(s, ("display", "model", "position"), line)
+            try:
+                model = squat_detector.TypoModel(s["model"])
+            except ValueError:
+                raise ParseError(f"unknown typo model {s['model']!r}", line=line, field="model") from None
             cluster.squats.append(
-                squat_detector.SquatEntry(
-                    dataset.by_display[s["display"]],
-                    squat_detector.TypoModel(s["model"]),
-                    s["position"],
-                )
+                squat_detector.SquatEntry(registration(s["display"], line, "squats"), model, s["position"])
             )
-        cluster.defensive = [dataset.by_display[d] for d in obj["defensive"]]
+        cluster.defensive = [registration(d, line, "defensive") for d in obj["defensive"]]
         clusters.append(cluster)
     return clusters
 
@@ -398,8 +412,9 @@ def cmd_report(args) -> int:
 
 def cmd_guard_check(args) -> int:
     history = typoguard.GuardHistory()
-    if args.history and Path(args.history).exists():
-        history = typoguard.GuardHistory.load(_read_jsonl(Path(args.history)))
+    if args.history:
+        lines, records = _read_jsonl(Path(args.history))
+        history = typoguard.GuardHistory.load(records, lines)
     blocklist = typoguard.NameIndex()
     if args.blocklist:
         with open(args.blocklist) as fh:

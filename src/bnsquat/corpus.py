@@ -7,6 +7,7 @@ load and safe for concurrent reads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
-from .errors import EmptyLabel, ParseError, UnknownNamespace
+from .errors import EmptyLabel, InvalidField, ParseError, UnknownNamespace
 
 log = logging.getLogger(__name__)
 
@@ -78,9 +79,9 @@ def normalize_name(raw: str, namespace: str) -> Name:
     return Name(label=_to_punycode(label), namespace=namespace)
 
 
-def _tld(display: str) -> str:
+def _tld(display: str, line: int | None = None) -> str:
     if "." not in display:
-        raise ParseError(f"display {display!r} has no TLD", field="display")
+        raise ParseError(f"display {display!r} has no TLD", line=line, field="display")
     return display.rsplit(".", 1)[1].lower()
 
 
@@ -110,14 +111,15 @@ def namespace_for_source(source: str) -> str | None:
     return {"ens": "eth", "adah": "adah"}.get(source)
 
 
-def infer_namespace(display: str, source: str) -> str:
-    """Work out the namespace of a fixture display form given its source."""
+def infer_namespace(display: str, source: str, line: int | None = None) -> str:
+    """Work out the namespace of a fixture display form given its source; a UD
+    display without a TLD is a ParseError at ``line``."""
     ns = namespace_for_source(source)
     if ns is not None:
         return ns
     if source not in SOURCES:
         raise UnknownNamespace(f"unknown source {source!r}")
-    return "ud:" + _tld(display)
+    return "ud:" + _tld(display, line)
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,9 @@ class Registration:
 
     def __post_init__(self):
         if not self.owner:
-            raise ValueError("owner must be non-empty")
+            raise InvalidField("owner must be non-empty", "owner")
         if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
+            raise InvalidField(f"unknown source {self.source!r}", "source")
 
 
 def is_subdomain(reg: Registration) -> bool:
@@ -186,14 +188,33 @@ def build_dataset(regs: Iterable[Registration]) -> Dataset:
     return ds
 
 
-def parse_registration_record(obj: dict, line: int | None = None) -> Registration:
-    """Parse one fixture record (see the fixture schema in the README)."""
-    for f in ("display", "owner", "registered_at", "source"):
+def require_fields(obj, fields: Iterable[str], line: int | None = None) -> None:
+    """ParseError unless ``obj`` is a JSON object holding every one of ``fields``."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"record must be an object, not {type(obj).__name__}", line=line)
+    for f in fields:
         if f not in obj:
             raise ParseError("missing field", line=line, field=f)
-    source = obj["source"]
-    namespace = obj.get("namespace") or infer_namespace(obj["display"], source)
-    name = normalize_name(obj["display"], namespace)
+
+
+def parse_registration_record(obj: dict, line: int | None = None) -> Registration:
+    """Parse one fixture record (see the fixture schema in the README).
+
+    A value that the record's Name or Registration rejects is a ParseError
+    naming ``line`` and the field.
+    """
+    require_fields(obj, ("display", "owner", "registered_at", "source"), line)
+    display, source, namespace = obj["display"], obj["source"], obj.get("namespace")
+    if source not in SOURCES:
+        raise ParseError(f"unknown source {source!r}", line=line, field="source")
+    if not isinstance(display, str):
+        raise ParseError(f"display must be a string: {display!r}", line=line, field="display")
+    try:
+        name = normalize_name(display, namespace or infer_namespace(display, source, line))
+    except EmptyLabel as exc:
+        raise ParseError(str(exc), line=line, field="display") from exc
+    except UnknownNamespace as exc:
+        raise ParseError(str(exc), line=line, field="namespace" if namespace else "display") from exc
     resolution = obj.get("resolution") or {}
     if not isinstance(resolution, dict):
         raise ParseError("resolution must be an object", line=line, field="resolution")
@@ -206,27 +227,34 @@ def parse_registration_record(obj: dict, line: int | None = None) -> Registratio
         raise ParseError(str(exc), line=line, field="registered_at") from exc
     if registered_at.tzinfo is None:
         registered_at = registered_at.replace(tzinfo=timezone.utc)
-    return Registration(
-        name=name,
-        owner=obj["owner"],
-        resolution_addresses=dict(resolution),
-        registered_at=registered_at,
-        source=source,
-    )
+    try:
+        return Registration(
+            name=name,
+            owner=obj["owner"],
+            resolution_addresses=dict(resolution),
+            registered_at=registered_at,
+            source=source,
+        )
+    except InvalidField as exc:
+        raise ParseError(str(exc), line=line, field=exc.field) from exc
 
 
-def load_registrations(records: Iterable[dict]) -> Dataset:
-    """Build a Dataset from parsed fixture records."""
-    return build_dataset(parse_registration_record(obj, line=i + 1) for i, obj in enumerate(records))
+def load_registrations(records: Iterable[dict], lines: Iterable[int] | None = None) -> Dataset:
+    """Build a Dataset from parsed fixture records. ``lines`` gives each record's
+    line in its file for error messages; by default records are numbered from 1."""
+    if lines is None:
+        lines = itertools.count(1)
+    return build_dataset(parse_registration_record(obj, line=n) for n, obj in zip(lines, records))
 
 
-def iter_jsonl(lines: Iterable[str]) -> Iterator[dict]:
-    """Yield JSON objects from JSONL text, raising ParseError with line numbers."""
-    for i, raw in enumerate(lines):
+def iter_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
+    """Yield (line number, JSON value) for each non-blank line of JSONL text,
+    raising ParseError with the line number."""
+    for i, raw in enumerate(lines, 1):
         raw = raw.strip()
         if not raw:
             continue
         try:
-            yield json.loads(raw)
+            yield i, json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), line=i + 1) from exc
+            raise ParseError(str(exc), line=i) from exc

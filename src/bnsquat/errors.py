@@ -28,6 +28,15 @@ class ParseError(BnsquatError):
         super().__init__(message + loc)
 
 
+class InvalidField(ValueError):
+    """A record constructor rejected one field's value; record parsers turn it
+    into a ParseError naming that field and the record's line."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 class MissingRate(BnsquatError):
     """No USD closing rate for a (date, asset) pair."""
 

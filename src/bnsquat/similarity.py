@@ -1,19 +1,19 @@
-"""Name-embedding similarity scoring with a deterministic trigram default.
+"""Name-embedding similarity scoring with deterministic character trigrams.
 
-The default provider hashes character trigrams of the padded label into a fixed
-512-dimensional term-frequency vector; any provider mapping labels to fixed-size
-vectors can be plugged in (e.g. precomputed learned embeddings).
+A label's embedding is the count of each hashed character trigram of the padded
+label, over 512 buckets, kept sparse: bucket -> count. Every count, dot product
+and squared norm is a small exact integer, so a cosine is the correctly rounded
+quotient of the same numbers whatever the summation order.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import json
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .errors import InsufficientNames, ZeroVector
 
@@ -36,75 +36,37 @@ def bucket_for(score: float, low: float = NOT_SIMILAR_BELOW, high: float = HIGHL
     return SimilarityBucket.HIGHLY_SIMILAR
 
 
-class EmbeddingProvider(Protocol):
-    dimension: int
-
-    def embed(self, label: str) -> np.ndarray: ...
-
-
 def _trigram_index(trigram: str) -> int:
     # blake2s keeps the hash stable across platforms and Python versions.
     digest = hashlib.blake2s(trigram.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little") % EMBED_DIM
 
 
-def default_embed(label: str) -> np.ndarray:
-    """Character-trigram term-frequency vector of the padded label."""
+def default_embed(label: str) -> Counter[int]:
+    """Character-trigram counts of the padded label, by bucket in ``range(EMBED_DIM)``."""
     if not label:
         raise ValueError("label must be non-empty")
     padded = f"^{label}$"
-    vec = np.zeros(EMBED_DIM)
-    for i in range(len(padded) - 2):
-        vec[_trigram_index(padded[i : i + 3])] += 1.0
-    return vec
+    return Counter(_trigram_index(padded[i : i + 3]) for i in range(len(padded) - 2))
 
 
 class TrigramProvider:
     """Deterministic default embedding provider."""
 
-    dimension = EMBED_DIM
-
-    def embed(self, label: str) -> np.ndarray:
+    def embed(self, label: str) -> Counter[int]:
         return default_embed(label)
 
 
-class PrecomputedProvider:
-    """Provider backed by a JSONL file of {label, vector:[...]} records."""
-
-    def __init__(self, records: Iterable[dict]):
-        self._vectors = {obj["label"]: np.asarray(obj["vector"], dtype=float) for obj in records}
-        dims = {v.shape[0] for v in self._vectors.values()}
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
-        self.dimension = dims.pop() if dims else 0
-
-    @classmethod
-    def from_path(cls, path) -> "PrecomputedProvider":
-        with open(path) as fh:
-            return cls(json.loads(line) for line in fh if line.strip())
-
-    def embed(self, label: str) -> np.ndarray:
-        try:
-            return self._vectors[label]
-        except KeyError:
-            raise KeyError(f"no precomputed embedding for {label!r}") from None
-
-
-def cosine(u: Sequence[float], v: Sequence[float]) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+def cosine(u: Mapping[int, int], v: Mapping[int, int]) -> float:
+    """Cosine of two sparse integer count vectors (bucket -> count)."""
+    nu = sum(c * c for c in u.values())
+    nv = sum(c * c for c in v.values())
+    if nu == 0 or nv == 0:
         raise ZeroVector("cosine undefined for zero vectors")
-    if not (1e-150 < nu < 1e150 and 1e-150 < nv < 1e150):
-        # The squares summed into a norm this far out lose precision or overflow.
-        # Cosine is scale-invariant, and scaling by a power of two is exact.
-        u = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
-        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    return float(np.dot(u, v) / (nu * nv))
+    if len(u) > len(v):
+        u, v = v, u
+    dot = sum(c * v[k] for k, c in u.items() if k in v)
+    return dot / (math.sqrt(nu) * math.sqrt(nv))
 
 
 @dataclass(frozen=True)
@@ -119,7 +81,7 @@ def wallet_similarity(
     wallet: str,
     wallet_names: Sequence[str],
     typo_labels: Sequence[str],
-    provider: EmbeddingProvider | None = None,
+    provider: TrigramProvider | None = None,
     low: float = NOT_SIMILAR_BELOW,
     high: float = HIGHLY_SIMILAR_FROM,
 ) -> SimilaritySummary:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from typing import Iterable, Mapping
 
-from .corpus import Name
-from .errors import MissingRate, ParseError
+from .corpus import Name, require_fields
+from .errors import InvalidField, MissingRate, ParseError
 from .ground_truth import AddressLabelSet
 from .squat_detector import SquatCluster
 
@@ -46,9 +46,11 @@ class Transaction:
 
     def __post_init__(self):
         if self.amount < 0:
-            raise ValueError("amount must be non-negative")
-        if not self.sender or not self.receiver:
-            raise ValueError("sender and receiver must be non-empty")
+            raise InvalidField("amount must be non-negative", "amount")
+        if not self.sender:
+            raise InvalidField("sender must be non-empty", "sender")
+        if not self.receiver:
+            raise InvalidField("receiver must be non-empty", "receiver")
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,9 @@ class UtxoRecord:
 
     def __post_init__(self):
         if not self.input_addresses:
-            raise ValueError("UTXO record needs at least one input address")
+            raise InvalidField("UTXO record needs at least one input address", "inputs")
         if self.output_amount < 0:
-            raise ValueError("output amount must be non-negative")
+            raise InvalidField("output amount must be non-negative", "amount")
 
 
 def utxo_expand(record: UtxoRecord) -> list[Transaction]:
@@ -91,31 +93,46 @@ def _parse_ts(value: str, line: int | None = None) -> datetime:
     return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
 
 
+def _amount(value, line: int | None) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"not a number: {value!r}", line=line, field="amount") from exc
+
+
 def parse_transaction_record(obj: dict, line: int | None = None) -> Transaction:
-    for f in ("hash", "sender", "receiver", "amount", "asset", "timestamp"):
-        if f not in obj:
-            raise ParseError("missing field", line=line, field=f)
-    return Transaction(
-        hash=obj["hash"],
-        sender=obj["sender"],
-        receiver=obj["receiver"],
-        amount=float(obj["amount"]),
-        asset=obj["asset"],
-        timestamp=_parse_ts(obj["timestamp"], line),
-    )
+    """Parse one account-model transaction; a value that Transaction rejects is a
+    ParseError naming ``line`` and the field."""
+    require_fields(obj, ("hash", "sender", "receiver", "amount", "asset", "timestamp"), line)
+    try:
+        return Transaction(
+            hash=obj["hash"],
+            sender=obj["sender"],
+            receiver=obj["receiver"],
+            amount=_amount(obj["amount"], line),
+            asset=obj["asset"],
+            timestamp=_parse_ts(obj["timestamp"], line),
+        )
+    except InvalidField as exc:
+        raise ParseError(str(exc), line=line, field=exc.field) from exc
 
 
 def parse_utxo_record(obj: dict, line: int | None = None) -> UtxoRecord:
-    for f in ("hash", "inputs", "output", "amount", "timestamp"):
-        if f not in obj:
-            raise ParseError("missing field", line=line, field=f)
-    return UtxoRecord(
-        hash=obj["hash"],
-        input_addresses=tuple(obj["inputs"]),
-        output_address=obj["output"],
-        output_amount=float(obj["amount"]),
-        timestamp=_parse_ts(obj["timestamp"], line),
-    )
+    """Parse one UTXO record; a value that UtxoRecord rejects is a ParseError
+    naming ``line`` and the field."""
+    require_fields(obj, ("hash", "inputs", "output", "amount", "timestamp"), line)
+    if not isinstance(obj["inputs"], list):
+        raise ParseError(f"inputs must be a list: {obj['inputs']!r}", line=line, field="inputs")
+    try:
+        return UtxoRecord(
+            hash=obj["hash"],
+            input_addresses=tuple(obj["inputs"]),
+            output_address=obj["output"],
+            output_amount=_amount(obj["amount"], line),
+            timestamp=_parse_ts(obj["timestamp"], line),
+        )
+    except InvalidField as exc:
+        raise ParseError(str(exc), line=line, field=exc.field) from exc
 
 
 class TxStore:

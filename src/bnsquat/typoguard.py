@@ -8,6 +8,7 @@ that happens to be a variant of another history entry is never flagged.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -175,10 +176,14 @@ class GuardHistory:
             )
 
     @classmethod
-    def load(cls, records: Iterable[dict]) -> "GuardHistory":
-        """Build a history from its JSONL records; ParseError names the line and field."""
+    def load(cls, records: Iterable[dict], lines: Iterable[int] | None = None) -> "GuardHistory":
+        """Build a history from its JSONL records; ParseError names the line and field.
+
+        ``lines`` gives each record's line in its file; by default records are
+        numbered from 1.
+        """
         history = cls()
-        for line, obj in enumerate(records, 1):
+        for line, obj in zip(itertools.count(1) if lines is None else lines, records):
             try:
                 display, first, last = obj["display"], obj["first_used"], obj["last_used"]
                 count = obj["send_count"]

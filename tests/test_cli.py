@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,3 +233,103 @@ def test_fixed_clock_reruns_are_byte_identical(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def data_error(capsys) -> str:
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "data"
+    return error["message"]
+
+
+def test_guard_check_history_error_names_the_file_line(tmp_path, capsys):
+    history = tmp_path / "history.jsonl"
+    record = {k: v for k, v in HISTORY_RECORD.items() if k != "last_used"}
+    history.write_text("\n  \n" + json.dumps(record) + "\n")
+    assert main(["guard-check", "--history", str(history), "--recipient", "vitalikk.eth"]) == 3
+    assert "(line 3, field 'last_used')" in data_error(capsys)
+
+
+def test_guard_check_missing_history_is_data_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-history.jsonl"
+    assert main(["guard-check", "--history", str(missing), "--recipient", "vitalikk.eth"]) == 3
+    assert str(missing) in data_error(capsys)
+
+
+def copy_pipeline(pipeline_dir: Path, tmp_path: Path) -> Path:
+    out = tmp_path / "out"
+    for rel in ("ingested", "score", "detect"):
+        shutil.copytree(pipeline_dir / rel, out / rel)
+    return out
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"amount": -1}, "amount"),
+        ({"amount": "lots"}, "amount"),
+        ({"sender": ""}, "sender"),
+        ({"timestamp": 5}, "timestamp"),
+    ],
+)
+def test_rejected_transaction_value_is_data_error_naming_line(pipeline_dir, tmp_path, capsys, record, field):
+    out = copy_pipeline(pipeline_dir, tmp_path)
+    txs = out / "ingested" / "transactions.jsonl"
+    lines = txs.read_text().splitlines()
+    lines[1] = json.dumps(dict(json.loads(lines[1]), **record))
+    txs.write_text("\n" + "\n".join(lines) + "\n")
+    assert main(["score", "--out", str(out)]) == 3
+    assert f"(line 3, field '{field}')" in data_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"owner": ""}, "owner"),
+        ({"source": "dns"}, "source"),
+        ({"display": ".eth"}, "display"),
+        ({"namespace": "com"}, "namespace"),
+    ],
+)
+def test_rejected_registration_value_is_data_error_naming_line(pipeline_dir, tmp_path, capsys, record, field):
+    out = copy_pipeline(pipeline_dir, tmp_path)
+    regs = out / "ingested" / "registrations.jsonl"
+    lines = regs.read_text().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), **record))
+    regs.write_text("\n".join(lines) + "\n")
+    assert main(["detect", "--out", str(out)]) == 3
+    assert f"(line 1, field '{field}')" in data_error(capsys)
+
+
+@pytest.mark.parametrize("field", ["target", "squats", "defensive", "model", "position"])
+def test_malformed_cluster_is_data_error(pipeline_dir, tmp_path, capsys, field):
+    out = copy_pipeline(pipeline_dir, tmp_path)
+    clusters = out / "detect" / "clusters.jsonl"
+    lines = clusters.read_text().splitlines()
+    line = next(i for i, text in enumerate(lines) if json.loads(text)["squats"])
+    cluster = json.loads(lines[line])
+    if field == "target":
+        cluster["target"] = "nobody.eth"
+    elif field == "squats":
+        cluster["squats"][0]["display"] = "nobody.eth"
+    elif field == "defensive":
+        cluster["defensive"].append("nobody.eth")
+    elif field == "model":
+        cluster["squats"][0]["model"] = "Teleport"
+    else:
+        del cluster["squats"][0]["position"]
+    lines[line] = json.dumps(cluster)
+    clusters.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--out", str(out)]) == 3
+    assert f"(line {line + 1}, field '{field}')" in data_error(capsys)
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # A fresh process, so that no other test's imports are counted.
+    code = (
+        "import sys; before = set(sys.modules); import bnsquat.cli; "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'bnsquat'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

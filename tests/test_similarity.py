@@ -2,14 +2,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnsquat.errors import InsufficientNames, ZeroVector
 from bnsquat.similarity import (
     EMBED_DIM,
-    PrecomputedProvider,
     SimilarityBucket,
     TrigramProvider,
     bucket_for,
@@ -20,40 +18,52 @@ from bnsquat.similarity import (
 
 
 def test_cosine_hand_values():
-    # classic 3-4-5 vectors: cos = (3*4 + 4*3) / (5 * 5)
-    assert cosine([3, 4], [4, 3]) == pytest.approx(24 / 25)
-    assert cosine([1, 0], [0, 1]) == 0.0
-    assert cosine([2, 2], [5, 5]) == pytest.approx(1.0)
-    assert cosine([1, 0], [-1, 0]) == pytest.approx(-1.0)
+    # classic 3-4-5 vectors: cos = (3*4 + 4*3) / (5 * 5), exactly 0.96
+    assert cosine({0: 3, 1: 4}, {0: 4, 1: 3}) == 24 / 25
+    assert cosine({0: 1}, {1: 1}) == 0.0
+    assert cosine({0: 2, 7: 2}, {0: 5, 7: 5}) == pytest.approx(1.0)
+    # a bucket absent from one side counts as 0 there
+    assert cosine({0: 1, 1: 1}, {1: 2, 2: 2}) == pytest.approx(0.5)
 
 
-def test_cosine_rejects_zero_and_mismatch():
+def test_cosine_rejects_zero():
     with pytest.raises(ZeroVector):
-        cosine([0, 0], [1, 2])
-    with pytest.raises(ValueError):
-        cosine([1, 2], [1, 2, 3])
+        cosine({}, {1: 2})
+    with pytest.raises(ZeroVector):
+        cosine({1: 2}, {3: 0})
 
 
-vectors = st.lists(
-    st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=16
-)
+counts = st.dictionaries(st.integers(0, EMBED_DIM - 1), st.integers(1, 40), min_size=1, max_size=16)
 
 
-@given(vectors)
+def loop_cosine(u, v):
+    """Dense reference: the cosine over all EMBED_DIM buckets, as float vectors."""
+    du = [float(u.get(i, 0)) for i in range(EMBED_DIM)]
+    dv = [float(v.get(i, 0)) for i in range(EMBED_DIM)]
+    dot = sum(a * b for a, b in zip(du, dv))
+    return dot / (math.sqrt(sum(a * a for a in du)) * math.sqrt(sum(b * b for b in dv)))
+
+
+@given(counts)
 @settings(max_examples=200)
 def test_cosine_self_is_one(v):
-    if np.linalg.norm(v) == 0.0:
-        return
     assert cosine(v, v) == pytest.approx(1.0)
 
 
-@given(vectors, st.floats(min_value=0.01, max_value=100))
+@given(counts, st.integers(1, 100))
 @settings(max_examples=200)
 def test_cosine_scale_invariant_and_bounded(v, k):
-    if np.linalg.norm(v) == 0.0 or np.linalg.norm([x * k for x in v]) == 0.0:
-        return
-    assert cosine(v, [x * k for x in v]) == pytest.approx(1.0)
-    assert -1.0 - 1e-9 <= cosine(v, list(reversed(v))) <= 1.0 + 1e-9
+    assert cosine(v, {i: c * k for i, c in v.items()}) == pytest.approx(1.0)
+    shifted = {(i + 1) % EMBED_DIM: c for i, c in v.items()}
+    assert 0.0 <= cosine(v, shifted) <= 1.0 + 1e-12
+
+
+@given(counts, counts)
+@settings(max_examples=200)
+def test_cosine_equals_dense_float_loop_exactly(u, v):
+    # Every partial sum is an integer below 2**53, so the dense float loop adds
+    # exactly and the two quotients are the same correctly rounded numbers.
+    assert cosine(u, v) == loop_cosine(u, v)
 
 
 def test_bucket_boundaries():
@@ -71,28 +81,17 @@ def test_bucket_custom_thresholds():
 
 def test_default_embed_shape_and_determinism():
     v = default_embed("johndoe")
-    assert v.shape == (EMBED_DIM,)
-    assert np.array_equal(v, default_embed("johndoe"))
+    assert all(isinstance(k, int) and 0 <= k < EMBED_DIM for k in v)
+    assert all(isinstance(c, int) and c > 0 for c in v.values())
+    assert v == default_embed("johndoe")
     # padded label has len + 2 characters, hence len trigrams
-    assert v.sum() == len("johndoe")
+    assert sum(v.values()) == len("johndoe")
 
 
 def test_default_embed_similar_labels_score_high():
     sim = cosine(default_embed("vitalik"), default_embed("vitalikk"))
     dissim = cosine(default_embed("vitalik"), default_embed("xqzw9834"))
     assert sim > 0.6 > dissim
-
-
-def test_precomputed_provider():
-    provider = PrecomputedProvider(
-        [{"label": "a", "vector": [1.0, 0.0]}, {"label": "b", "vector": [0.0, 1.0]}]
-    )
-    assert provider.dimension == 2
-    assert cosine(provider.embed("a"), provider.embed("b")) == 0.0
-    with pytest.raises(KeyError):
-        provider.embed("missing")
-    with pytest.raises(ValueError):
-        PrecomputedProvider([{"label": "a", "vector": [1.0]}, {"label": "b", "vector": [1, 2]}])
 
 
 def test_wallet_similarity_matches_nested_loop_oracle():
@@ -126,14 +125,18 @@ def test_wallet_similarity_requires_inputs():
         wallet_similarity("0xw", ["a1", "b2"], [])
 
 
-def test_wallet_similarity_with_precomputed_vectors():
-    provider = PrecomputedProvider(
-        [
-            {"label": "t1", "vector": [1.0, 0.0]},
-            {"label": "t2", "vector": [1.0, 0.0]},
-            {"label": "other", "vector": [0.0, 1.0]},
-        ]
-    )
+class FixedProvider:
+    """Hand-made count vectors in place of trigram counts."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, label):
+        return self.vectors[label]
+
+
+def test_wallet_similarity_hand_values():
+    provider = FixedProvider({"t1": {0: 1}, "t2": {0: 1}, "other": {1: 1}})
     summary = wallet_similarity("0xw", ["t1", "t2", "other"], ["t1"], provider)
     # pairs: (t1,t2)=1, (t1,other)=0, (t2,other)=0 -> mean 1/3 -> NotSimilar
     assert summary.many_to_many_avg == pytest.approx(1 / 3)

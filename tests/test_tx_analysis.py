@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnsquat.corpus import Name, build_dataset
-from bnsquat.errors import MissingRate
+from bnsquat.errors import MissingRate, ParseError
 from bnsquat.ground_truth import AddressLabelSet
 from bnsquat.squat_detector import detect
 from bnsquat.tx_analysis import (
@@ -22,6 +22,7 @@ from bnsquat.tx_analysis import (
     funds_summary,
     funds_summary_values,
     parse_transaction_record,
+    parse_utxo_record,
     to_usd,
     utxo_expand,
 )
@@ -64,6 +65,17 @@ def test_utxo_conservation(inputs, amount):
 def test_utxo_requires_inputs():
     with pytest.raises(ValueError):
         UtxoRecord("0xh", (), "out", 1.0, ts(2021))
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [({"inputs": []}, "inputs"), ({"inputs": "addr_a"}, "inputs"), ({"amount": -2}, "amount"), ({"amount": None}, "amount")],
+)
+def test_parse_utxo_record_rejection_names_line_and_field(change, field):
+    record = {"hash": "h", "inputs": ["addr_a"], "output": "o", "amount": 1, "timestamp": "2021-01-01T00:00:00Z"}
+    with pytest.raises(ParseError) as err:
+        parse_utxo_record(dict(record, **change), line=4)
+    assert (err.value.line, err.value.field) == (4, field)
 
 
 # --- store and sender classes -----------------------------------------------
