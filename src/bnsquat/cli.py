@@ -18,6 +18,7 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 from . import corpus, ground_truth, ingestion, simulator, squat_detector, tx_analysis, typoguard
 from .errors import BnsquatError, ConfigError, InsufficientNames, MissingPrerequisite, ParseError
@@ -156,11 +157,9 @@ def _load_dataset(out: Path) -> corpus.Dataset:
     return corpus.load_registrations(records, lines)
 
 
-def _load_store(out: Path) -> tx_analysis.TxStore:
+def _load_transactions(out: Path) -> Iterator[tx_analysis.Transaction]:
     lines, records = _read_jsonl(_require(out / "ingested" / "transactions.jsonl", "ingest"))
-    return tx_analysis.TxStore(
-        tx_analysis.parse_transaction_record(obj, line=line) for line, obj in zip(lines, records)
-    )
+    return (tx_analysis.parse_transaction_record(obj, line=line) for line, obj in zip(lines, records))
 
 
 def _load_labels(out: Path) -> ground_truth.AddressLabelSet:
@@ -181,7 +180,7 @@ def _load_prices(out: Path) -> tx_analysis.PriceTable | None:
 def cmd_score(args) -> int:
     out = Path(args.out)
     dataset = _load_dataset(out)
-    stats = ground_truth.compute_wallet_stats(dataset, _load_store(out).tx_count_index())
+    stats = ground_truth.compute_wallet_stats(dataset, tx_analysis.tx_count_index(_load_transactions(out)))
     stats = ground_truth.filter_labeled(stats, _load_labels(out))
     ranked = ground_truth.rank_wallets(stats)
     targets = ground_truth.select_targets(
@@ -288,7 +287,7 @@ def cmd_analyze_tx(args) -> int:
     out = Path(args.out)
     dataset = _load_dataset(out)
     clusters = _load_clusters(out, dataset)
-    store, labels, prices = _load_store(out), _load_labels(out), _load_prices(out)
+    store, labels, prices = tx_analysis.TxStore(_load_transactions(out)), _load_labels(out), _load_prices(out)
     records = []
     for cluster in clusters:
         records.extend(tx_analysis.common_senders(cluster, store, labels, prices))

@@ -1,8 +1,9 @@
 """Squat-cluster construction, registration statistics, and squatter profiling.
 
-Detection is generate-and-lookup: for each target we materialize all single-edit
-variants and probe the dataset's display index, which keeps cost independent of
-corpus size.
+Detection is index-and-confirm: one ``NameIndex`` over the dataset's names
+returns, for each target and namespace probed, the few stored names that may be
+one edit away, and ``classify`` confirms each. No variant is materialized, so
+the cost per target is a handful of dict lookups plus one check per candidate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from .similarity import (
     NOT_SIMILAR_BELOW,
     SimilaritySummary,
 )
-from .typo_models import TypoModel, generate_all
+from .typo_models import (
+    NameIndex,
+    TypoModel,
+    alphabet_for_namespace,
+    change_position,
+    classify,
+    generate_all,  # unused here; perfbench/tracing.py wraps squat_detector.generate_all by name
+    primary_model,
+)
 
 log = logging.getLogger(__name__)
 
@@ -58,14 +67,17 @@ class SquatterProfile:
 def detect(targets: list[Name], dataset: Dataset, cross_tld: bool = False) -> list[SquatCluster]:
     """Build squat clusters for each target.
 
-    Variants that are themselves targets or that predate the target are dropped;
-    variants sharing the target's owner go under defensive. Clusters with no
-    squats and no defensive entries are omitted. Output order follows target rank.
-    With ``cross_tld``, variants of a UD target are probed under every UD TLD
-    in the dataset.
+    A variant is a registered name one typo from the target (``classify``), in
+    the target's namespace. Variants that are themselves targets or that
+    predate the target are dropped; variants sharing the target's owner go
+    under defensive. Clusters with no squats and no defensive entries are
+    omitted. Output order follows target rank; within a cluster, variants
+    follow their label, then their namespace. With ``cross_tld``, variants of a
+    UD target are sought under every UD TLD in the dataset.
     """
     target_displays = {t.display for t in targets}
     ud_namespaces = sorted(ns for ns in dataset.namespaces if ns.startswith("ud:")) if cross_tld else []
+    index = NameIndex(r.name for r in dataset.registrations)
     clusters: list[SquatCluster] = []
     for target in targets:
         target_reg = dataset.by_display.get(target.display)
@@ -74,19 +86,26 @@ def detect(targets: list[Name], dataset: Dataset, cross_tld: bool = False) -> li
             continue
         cluster = SquatCluster(target=target_reg)
         namespaces = ud_namespaces if target.namespace.startswith("ud:") and cross_tld else [target.namespace]
-        # No display repeats: generate_all yields each label once and a TLD holds no ".".
-        for variant in sorted(generate_all(target), key=lambda v: v.variant_label):
-            for namespace in namespaces:
-                display = Name(variant.variant_label, namespace).display
-                if display in target_displays:
-                    continue
-                reg = dataset.by_display.get(display)
-                if reg is None or reg.registered_at < target_reg.registered_at:
-                    continue
-                if reg.owner == target_reg.owner:
-                    cluster.defensive.append(reg)
-                else:
-                    cluster.squats.append(SquatEntry(reg, variant.model, variant.change_position))
+        alphabet = alphabet_for_namespace(target.namespace)
+        # (variant label, namespace order, name, model); the first two give the documented order.
+        hits = []
+        for order, namespace in enumerate(namespaces):
+            for name in index.near(Name(target.label, namespace)):
+                models = classify(name.label, target.label, alphabet)
+                if models:
+                    hits.append((name.label, order, name, primary_model(models)))
+        hits.sort(key=lambda hit: hit[:2])
+        for label, _, name, model in hits:
+            display = name.display
+            if display in target_displays:
+                continue
+            reg = dataset.by_display[display]
+            if reg.registered_at < target_reg.registered_at:
+                continue
+            if reg.owner == target_reg.owner:
+                cluster.defensive.append(reg)
+            else:
+                cluster.squats.append(SquatEntry(reg, model, change_position(label, target.label, model, alphabet)))
         if cluster.squats or cluster.defensive:
             clusters.append(cluster)
     return clusters

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -147,16 +148,14 @@ class TxStore:
     def __len__(self) -> int:
         return len(self.transactions)
 
-    def tx_count_index(self) -> dict[str, int]:
-        """Incoming + outgoing transaction counts per address, for wallet ranking."""
-        counts: Counter[str] = Counter()
-        for tx in self.transactions:
-            counts[tx.receiver] += 1
-            counts[tx.sender] += 1
-        return dict(counts)
 
-    def incoming_count_index(self) -> dict[str, int]:
-        return {addr: len(txs) for addr, txs in self.by_receiver.items()}
+def tx_count_index(txs: Iterable[Transaction]) -> dict[str, int]:
+    """Incoming + outgoing transaction counts per address, for wallet ranking."""
+    counts: Counter[str] = Counter()
+    for tx in txs:
+        counts[tx.receiver] += 1
+        counts[tx.sender] += 1
+    return dict(counts)
 
 
 def classify_sender(address: str, labels: AddressLabelSet) -> str:
@@ -165,19 +164,6 @@ def classify_sender(address: str, labels: AddressLabelSet) -> str:
     if address in labels.exchange_addresses:
         return SENDER_OTHER_CUSTODIAL
     return SENDER_NON_CUSTODIAL
-
-
-def filter_non_resolving_custodial(
-    txs: list[Transaction], labels: AddressLabelSet
-) -> tuple[list[Transaction], float]:
-    """Drop transactions sent from custodial wallets without name resolution.
-
-    Only Coinbase resolves names among custodial wallets, so other-custodial
-    senders cannot have transacted through a typo.
-    """
-    kept = [tx for tx in txs if classify_sender(tx.sender, labels) != SENDER_OTHER_CUSTODIAL]
-    dropped = (len(txs) - len(kept)) / len(txs) if txs else 0.0
-    return kept, dropped
 
 
 class PriceTable:
@@ -192,14 +178,29 @@ class PriceTable:
 
     @classmethod
     def from_csv(cls, lines: Iterable[str]) -> "PriceTable":
-        """Parse "date,asset,usd_close" rows (with or without a header)."""
+        """Parse "date,asset,usd_close" rows (with or without a header). A bad
+        date, an empty asset, or a rate that is not a positive number is a
+        ParseError naming the row's line and field."""
         rates: dict[tuple[date, str], float] = {}
-        for i, row in enumerate(csv.reader(lines)):
+        for line, row in enumerate(csv.reader(lines), 1):
             if not row or row[0] == "date":
                 continue
             if len(row) != 3:
-                raise ParseError(f"expected 3 columns, got {len(row)}", line=i + 1)
-            rates[(date.fromisoformat(row[0]), row[1])] = float(row[2])
+                raise ParseError(f"expected 3 columns, got {len(row)}", line=line)
+            day, asset, close = row
+            try:
+                key = (date.fromisoformat(day), asset)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=line, field="date") from exc
+            if not asset:
+                raise ParseError("asset must be non-empty", line=line, field="asset")
+            try:
+                rate = float(close)
+            except ValueError as exc:
+                raise ParseError(f"not a number: {close!r}", line=line, field="usd_close") from exc
+            if not 0 < rate < math.inf:
+                raise ParseError(f"rate must be positive and finite: {close!r}", line=line, field="usd_close")
+            rates[key] = rate
         return cls(rates)
 
     def rate(self, day: date, asset: str) -> float:

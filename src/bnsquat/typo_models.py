@@ -1,14 +1,16 @@
-"""The seven single-edit typo models, their classifier, and the edit-distance oracle.
+"""The seven single-edit typo models, their classifier, the edit-distance oracle,
+and an index that finds a label's one-edit neighbours among stored names.
 
 Every model produces labels exactly one optimal-string-alignment edit away from
 the target: duplication, addition, removal, swapping, substitution, hyphenation,
-and pluralization. All operations here are pure functions.
+and pluralization. All operations here except ``NameIndex.add`` are pure
+functions.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import Name
 
@@ -104,6 +106,16 @@ def _mutations(label: str, model: TypoModel, alphabet: str) -> dict[str, int]:
     }
 
 
+def change_position(variant_label: str, target_label: str, model: TypoModel, alphabet: str = ETH_ALPHABET) -> int:
+    """The change position ``generate`` reports for a variant of the target under one model.
+
+    KeyError if the variant does not arise under that model. Only a character of
+    the variant can be the one an edit put in, so the alphabet narrows to those.
+    """
+    alphabet = "".join(ch for ch in alphabet if ch in variant_label)
+    return _mutations(target_label, model, alphabet)[variant_label]
+
+
 def generate(target: Name, model: TypoModel, alphabet: str | None = None) -> set[TypoVariant]:
     """All registered-or-not variants of the target under one typo model."""
     if alphabet is None:
@@ -178,6 +190,83 @@ def primary_model(models: Iterable[TypoModel]) -> TypoModel | None:
     return None
 
 
+class NameIndex:
+    """A set of Names that narrows a search for the stored names one edit from a given one.
+
+    Each name is filed under its namespace, its label length ``n`` and each of
+    two halves of its label: ``label[:n // 2]`` and ``label[n // 2 + 1:]``. One
+    optimal-string-alignment edit (substitution, insertion, deletion or
+    adjacent swap) leaves at least one half where it was: the prefix at the
+    start of the edited label or the suffix at its end. The middle character
+    belongs to neither half, so a swap across the split leaves one half whole.
+    ``near`` therefore costs two dict lookups for each of the lengths n - 1, n
+    and n + 1, however many names are stored.
+    """
+
+    def __init__(self, names: Iterable[Name] = ()):
+        self._names: list[Name] = []  # in insertion order; the halves map to positions here
+        self._labels: dict[str, set[str]] = {}  # namespace -> labels
+        # Each half maps to the last position filed under it, and that position's
+        # link to the one filed before it (-1 ends the chain). Flat int lists keep
+        # the build to one pass with no per-key container for the collector to walk.
+        self._prefixes: dict[tuple, int] = {}
+        self._suffixes: dict[tuple, int] = {}
+        self._prefix_links: list[int] = []
+        self._suffix_links: list[int] = []
+        for name in names:
+            self.add(name)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __iter__(self) -> Iterator[Name]:
+        return iter(self._names)
+
+    def __contains__(self, name: Name) -> bool:
+        labels = self._labels.get(name.namespace)
+        return labels is not None and name.label in labels
+
+    def add(self, name: Name) -> None:
+        """Store a name; a name already stored keeps its first position."""
+        label, namespace = name.label, name.namespace
+        labels = self._labels.get(namespace)
+        if labels is None:
+            labels = self._labels[namespace] = set()
+        elif label in labels:
+            return
+        labels.add(label)
+        pos = len(self._names)
+        self._names.append(name)
+        n = len(label)
+        half = n // 2
+        key = namespace, n, label[:half]
+        self._prefix_links.append(self._prefixes.get(key, -1))
+        self._prefixes[key] = pos
+        key = namespace, n, label[half + 1 :]
+        self._suffix_links.append(self._suffixes.get(key, -1))
+        self._suffixes[key] = pos
+
+    def near(self, name: Name) -> list[Name]:
+        """Every stored name that may be one edit from ``name``, in insertion order.
+
+        The result can hold names further away; the caller confirms each one.
+        """
+        label, namespace = name.label, name.namespace
+        m = len(label)
+        found: set[int] = set()
+        for n in (m - 1, m, m + 1):
+            half = n // 2
+            pos = self._prefixes.get((namespace, n, label[:half]), -1)
+            while pos >= 0:
+                found.add(pos)
+                pos = self._prefix_links[pos]
+            pos = self._suffixes.get((namespace, n, label[m - n + half + 1 :]), -1)
+            while pos >= 0:
+                found.add(pos)
+                pos = self._suffix_links[pos]
+        return [self._names[pos] for pos in sorted(found)]
+
+
 def damerau_distance(a: str, b: str) -> int:
     """Optimal-string-alignment Damerau-Levenshtein distance, unit costs."""
     la, lb = len(a), len(b)
@@ -196,11 +285,3 @@ def damerau_distance(a: str, b: str) -> int:
                 cur[j] = min(cur[j], prev2[j - 2] + 1)
         prev2, prev = prev, cur
     return prev[lb]
-
-
-def change_position_stats(variants: Iterable[TypoVariant]) -> float:
-    """Fraction of variants whose edit touches the first character."""
-    variants = list(variants)
-    if not variants:
-        return 0.0
-    return sum(1 for v in variants if v.change_position == 0) / len(variants)

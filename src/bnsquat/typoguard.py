@@ -16,7 +16,7 @@ from typing import Container, Iterable, Iterator, TextIO
 
 from .corpus import Name, parse_display
 from .errors import ParseError
-from .typo_models import TypoModel, alphabet_for_namespace, classify, primary_model
+from .typo_models import NameIndex, TypoModel, alphabet_for_namespace, classify, primary_model
 
 
 class Decision(enum.Enum):
@@ -37,83 +37,6 @@ class GuardVerdict:
     reason: Reason = Reason.NONE
     matched_target: Name | None = None
     model: TypoModel | None = None
-
-
-class NameIndex:
-    """A set of Names that narrows a search for the stored names one edit from a given one.
-
-    Each name is filed under its namespace, its label length ``n`` and each of
-    two halves of its label: ``label[:n // 2]`` and ``label[n // 2 + 1:]``. One
-    optimal-string-alignment edit (substitution, insertion, deletion or
-    adjacent swap) leaves at least one half where it was: the prefix at the
-    start of the edited label or the suffix at its end. The middle character
-    belongs to neither half, so a swap across the split leaves one half whole.
-    ``near`` therefore costs two dict lookups for each of the lengths n - 1, n
-    and n + 1, however many names are stored.
-    """
-
-    def __init__(self, names: Iterable[Name] = ()):
-        self._names: list[Name] = []  # in insertion order; the halves map to positions here
-        self._labels: dict[str, set[str]] = {}  # namespace -> labels
-        # Each half maps to the last position filed under it, and that position's
-        # link to the one filed before it (-1 ends the chain). Flat int lists keep
-        # the build to one pass with no per-key container for the collector to walk.
-        self._prefixes: dict[tuple, int] = {}
-        self._suffixes: dict[tuple, int] = {}
-        self._prefix_links: list[int] = []
-        self._suffix_links: list[int] = []
-        for name in names:
-            self.add(name)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __iter__(self) -> Iterator[Name]:
-        return iter(self._names)
-
-    def __contains__(self, name: Name) -> bool:
-        labels = self._labels.get(name.namespace)
-        return labels is not None and name.label in labels
-
-    def add(self, name: Name) -> None:
-        """Store a name; a name already stored keeps its first position."""
-        label, namespace = name.label, name.namespace
-        labels = self._labels.get(namespace)
-        if labels is None:
-            labels = self._labels[namespace] = set()
-        elif label in labels:
-            return
-        labels.add(label)
-        pos = len(self._names)
-        self._names.append(name)
-        n = len(label)
-        half = n // 2
-        key = namespace, n, label[:half]
-        self._prefix_links.append(self._prefixes.get(key, -1))
-        self._prefixes[key] = pos
-        key = namespace, n, label[half + 1 :]
-        self._suffix_links.append(self._suffixes.get(key, -1))
-        self._suffixes[key] = pos
-
-    def near(self, name: Name) -> list[Name]:
-        """Every stored name that may be one edit from ``name``, in insertion order.
-
-        The result can hold names further away; the caller confirms each one.
-        """
-        label, namespace = name.label, name.namespace
-        m = len(label)
-        found: set[int] = set()
-        for n in (m - 1, m, m + 1):
-            half = n // 2
-            pos = self._prefixes.get((namespace, n, label[:half]), -1)
-            while pos >= 0:
-                found.add(pos)
-                pos = self._prefix_links[pos]
-            pos = self._suffixes.get((namespace, n, label[m - n + half + 1 :]), -1)
-            while pos >= 0:
-                found.add(pos)
-                pos = self._suffix_links[pos]
-        return [self._names[pos] for pos in sorted(found)]
 
 
 @dataclass

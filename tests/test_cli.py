@@ -300,6 +300,20 @@ def test_rejected_registration_value_is_data_error_naming_line(pipeline_dir, tmp
     assert f"(line 1, field '{field}')" in data_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "row, field",
+    [("2021-13-01,ETH,100.0", "date"), ("2021-01-01,ETH,lots", "usd_close"), ("2021-01-01,ETH,0", "usd_close")],
+)
+def test_bad_price_row_is_data_error_naming_line(pipeline_dir, tmp_path, capsys, row, field):
+    out = copy_pipeline(pipeline_dir, tmp_path)
+    prices = out / "ingested" / "prices.csv"
+    lines = prices.read_text().splitlines()
+    lines.insert(2, row)
+    prices.write_text("\n".join(lines) + "\n")
+    assert main(["analyze-tx", "--out", str(out)]) == 3
+    assert f"(line 3, field '{field}')" in data_error(capsys)
+
+
 @pytest.mark.parametrize("field", ["target", "squats", "defensive", "model", "position"])
 def test_malformed_cluster_is_data_error(pipeline_dir, tmp_path, capsys, field):
     out = copy_pipeline(pipeline_dir, tmp_path)

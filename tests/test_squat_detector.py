@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
 from bnsquat.corpus import Dataset, Name, build_dataset
 from bnsquat.similarity import SimilaritySummary, SimilarityBucket
 from bnsquat.squat_detector import (
@@ -10,15 +12,20 @@ from bnsquat.squat_detector import (
     registration_stats,
     squatter_profiles,
     SquatterProfile,
+    SquatCluster,
+    SquatEntry,
 )
-from bnsquat.typo_models import ETH_ALPHABET, TypoModel, classify
+from bnsquat.typo_models import ETH_ALPHABET, TypoModel, classify, generate_all
 
 from conftest import reg, ts
 
 
 def brute_force_clusters(targets, dataset: Dataset):
-    """All-pairs oracle: test classify for every (corpus name, target) pair and
-    apply the same date/ownership/target-exclusion filters as detect."""
+    """All-pairs check: test classify for every (corpus name, target) pair and
+    apply the same date/ownership/target-exclusion filters as detect.
+
+    detect confirms its candidates with classify too, so this is not an
+    independent oracle; ``generate_and_probe`` below is."""
     target_displays = {t.display for t in targets}
     out = {}
     for target in targets:
@@ -120,6 +127,107 @@ def test_cross_tld_lookup():
     assert detect(target, ds) == []
     clusters = detect(target, ds, cross_tld=True)
     assert {e.registration.name.display for e in clusters[0].squats} == {"walet.nft"}
+
+
+def generate_and_probe(targets, dataset: Dataset, cross_tld: bool = False):
+    """The earlier detector, kept as the reference: every generate_all variant of
+    each target, probed by display under every namespace the target is searched in."""
+    target_displays = {t.display for t in targets}
+    ud_namespaces = sorted(ns for ns in dataset.namespaces if ns.startswith("ud:")) if cross_tld else []
+    clusters = []
+    for target in targets:
+        target_reg = dataset.by_display.get(target.display)
+        if target_reg is None:
+            continue
+        cluster = SquatCluster(target=target_reg)
+        namespaces = ud_namespaces if target.namespace.startswith("ud:") and cross_tld else [target.namespace]
+        for variant in sorted(generate_all(target), key=lambda v: v.variant_label):
+            for namespace in namespaces:
+                display = Name(variant.variant_label, namespace).display
+                if display in target_displays:
+                    continue
+                reg = dataset.by_display.get(display)
+                if reg is None or reg.registered_at < target_reg.registered_at:
+                    continue
+                if reg.owner == target_reg.owner:
+                    cluster.defensive.append(reg)
+                else:
+                    cluster.squats.append(SquatEntry(reg, variant.model, variant.change_position))
+        if cluster.squats or cluster.defensive:
+            clusters.append(cluster)
+    return clusters
+
+
+# No UD TLD is "eth": a UD name "x.eth" would share its display with the ENS name
+# "x.eth", and the reference probes by display where detect matches by namespace.
+PROPERTY_NAMESPACES = ("eth", "adah", "ud:crypto", "ud:nft", "ud:x")
+SOURCE_OF = {"eth": "ens", "adah": "adah", "ud:crypto": "ud-eth", "ud:nft": "ud-polygon", "ud:x": "ud-polygon"}
+
+
+def property_alphabet(namespace: str) -> str:
+    # A few letters make many labels one edit apart; "." and "_" are ADA Handle characters.
+    return "abs-._" if namespace == "adah" else "abs-"
+
+
+@st.composite
+def one_edit(draw, label: str, alphabet: str) -> str:
+    """A label one edit from ``label``, spelled out here apart from typo_models."""
+    i = draw(st.integers(0, len(label)))
+    ch = draw(st.sampled_from(alphabet))
+    edits = [label[:i] + ch + label[i:]]
+    if i < len(label):
+        edits += [label[:i] + label[i + 1 :], label[:i] + ch + label[i + 1 :], label[:i] + label[i] + label[i:]]
+    if i + 1 < len(label):
+        edits.append(label[:i] + label[i + 1] + label[i] + label[i + 2 :])
+    edits.append(label + "s")
+    return draw(st.sampled_from([e for e in edits if e]))
+
+
+@st.composite
+def squat_corpora(draw):
+    """A corpus of base names and one- and two-edit relatives of them in several
+    namespaces, with a few owners and dates, and targets drawn from it."""
+    owners = ("0xa", "0xb", "0xc")
+    records = {}
+
+    def add(label: str, namespace: str) -> Name:
+        name = Name(label, namespace)
+        records[name] = reg(
+            name.display, draw(st.sampled_from(owners)), registered=ts(draw(st.integers(2018, 2021))),
+            namespace=namespace, source=SOURCE_OF[namespace],
+        )
+        return name
+
+    bases = [
+        add(draw(st.text(property_alphabet(ns), min_size=1, max_size=6)), ns)
+        for ns in draw(st.lists(st.sampled_from(PROPERTY_NAMESPACES), min_size=1, max_size=5))
+    ]
+    for _ in range(draw(st.integers(0, 30))):
+        base = draw(st.sampled_from(bases))
+        alphabet = property_alphabet(base.namespace)
+        label = draw(one_edit(base.label, alphabet))
+        if draw(st.booleans()):
+            label = draw(one_edit(label, alphabet))
+        # A UD relative may be registered under several UD namespaces, which only cross_tld probes.
+        if base.namespace.startswith("ud:"):
+            namespaces = draw(st.lists(st.sampled_from(PROPERTY_NAMESPACES[2:]), min_size=1, max_size=3, unique=True))
+        else:
+            namespaces = [base.namespace]
+        for ns in namespaces:
+            bases.append(add(label, ns))
+    names = list(records)
+    # Targets may be variants of each other, and one may be absent from the corpus.
+    targets = draw(st.lists(st.sampled_from(names), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        targets.append(Name("absent", "eth"))
+    return build_dataset(records.values()), targets
+
+
+@given(squat_corpora(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_detect_matches_generate_and_probe(corpus, cross_tld):
+    dataset, targets = corpus
+    assert detect(targets, dataset, cross_tld=cross_tld) == generate_and_probe(targets, dataset, cross_tld)
 
 
 def test_registration_stats():

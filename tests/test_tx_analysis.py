@@ -18,12 +18,12 @@ from bnsquat.tx_analysis import (
     all_senders_counts,
     classify_sender,
     common_senders,
-    filter_non_resolving_custodial,
     funds_summary,
     funds_summary_values,
     parse_transaction_record,
     parse_utxo_record,
     to_usd,
+    tx_count_index,
     utxo_expand,
 )
 
@@ -82,23 +82,13 @@ def test_parse_utxo_record_rejection_names_line_and_field(change, field):
 
 
 def test_tx_count_index_counts_both_directions():
-    store = TxStore([tx("a", "b"), tx("b", "c"), tx("a", "c")])
-    counts = store.tx_count_index()
-    assert counts == {"a": 2, "b": 2, "c": 2}
-    assert store.incoming_count_index() == {"b": 1, "c": 2}
+    assert tx_count_index([tx("a", "b"), tx("b", "c"), tx("a", "c"), tx("c", "c")]) == {"a": 2, "b": 2, "c": 4}
 
 
 def test_classify_sender():
     assert classify_sender("0xcoinbase", LABELS) == "coinbase_custodial"
     assert classify_sender("0xbinance", LABELS) == "other_custodial"
     assert classify_sender("0xanyone", LABELS) == "non_custodial"
-
-
-def test_filter_non_resolving_custodial():
-    txs = [tx("0xbinance", "x"), tx("0xcoinbase", "x"), tx("0xme", "x"), tx("0xbinance", "y")]
-    kept, dropped = filter_non_resolving_custodial(txs, LABELS)
-    assert {t.sender for t in kept} == {"0xcoinbase", "0xme"}
-    assert dropped == 0.5
 
 
 # --- prices -----------------------------------------------------------------
@@ -111,6 +101,23 @@ def test_price_table_lookup_and_missing():
     assert table.rate(date(2021, 1, 1), "ETH") == 1000.0
     with pytest.raises(MissingRate):
         table.rate(date(2021, 1, 2), "ETH")
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("2021-13-01,ETH,100.0", "date"),
+        ("2021-01-01,,100.0", "asset"),
+        ("2021-01-01,ETH,lots", "usd_close"),
+        ("2021-01-01,ETH,0", "usd_close"),
+        ("2021-01-01,ETH,-2.5", "usd_close"),
+        ("2021-01-01,ETH,nan", "usd_close"),
+    ],
+)
+def test_price_csv_bad_row_names_line_and_field(row, field):
+    with pytest.raises(ParseError) as err:
+        PriceTable.from_csv(["date,asset,usd_close", "2021-01-01,ADA,0.25", row])
+    assert (err.value.line, err.value.field) == (3, field)
 
 
 def test_to_usd_uses_tx_day():

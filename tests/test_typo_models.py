@@ -8,7 +8,7 @@ from bnsquat.typo_models import (
     ADAH_ALPHABET,
     ETH_ALPHABET,
     TypoModel,
-    change_position_stats,
+    change_position,
     classify,
     damerau_distance,
     generate,
@@ -256,14 +256,8 @@ def test_adah_alphabet_extends_eth():
     assert "handle." in variants
 
 
-def test_change_position_stats():
-    assert change_position_stats([]) == 0.0
-    variants = sorted(generate(JOHNDOE, TypoModel.REMOVAL), key=lambda v: v.change_position)
-    at_zero = [v for v in variants if v.change_position == 0]
-    assert change_position_stats(variants) == len(at_zero) / len(variants)
-
-
-def test_change_position_histogram_matches_recount():
-    variants = generate_all(Name("abcdef", "eth"))
-    recount = sum(1 for v in variants if v.change_position == 0) / len(variants)
-    assert change_position_stats(variants) == recount
+@given(st.text(alphabet="abs-._", min_size=1, max_size=8), st.sampled_from(list(TypoModel)))
+@settings(max_examples=200)
+def test_change_position_is_the_one_generate_reports(label, model):
+    for variant in generate(Name(label, "adah"), model, ADAH_ALPHABET):
+        assert change_position(variant.variant_label, label, model, ADAH_ALPHABET) == variant.change_position
