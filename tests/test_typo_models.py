@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,6 +256,16 @@ def test_adah_alphabet_extends_eth():
     variants = labels_of(generate(Name("handle", "adah"), TypoModel.ADDITION, ADAH_ALPHABET))
     assert "handle_" in variants
     assert "handle." in variants
+
+
+def test_change_position_histogram_matches_recount():
+    # detect takes each squat's change position from change_position, so the
+    # histogram over all variants must match the one generate_all reports.
+    variants = generate_all(Name("abcdef", "eth"))
+    reported = Counter(v.change_position for v in variants)
+    recount = Counter(change_position(v.variant_label, "abcdef", v.model) for v in variants)
+    assert recount == reported
+    assert reported[0] > 0
 
 
 @given(st.text(alphabet="abs-._", min_size=1, max_size=8), st.sampled_from(list(TypoModel)))
