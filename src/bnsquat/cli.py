@@ -98,24 +98,29 @@ def cmd_simulate(args) -> int:
 def cmd_ingest(args) -> int:
     if not args.data_dir:
         raise ConfigError("--data-dir is required for ingest")
-    layout = ingestion.fixture_layout(Path(args.data_dir))
+    data_dir = Path(args.data_dir)
     out = Path(args.out) / "ingested"
 
     regs: list[dict] = []
+
+    def keep_registration(obj: dict) -> None:
+        corpus.parse_registration_record(obj)
+        regs.append(obj)
+
     counts = ingestion.drain(
-        ingestion.FixtureSource.from_dir(_require(layout["registrations"], "simulate")),
-        regs.append,
-        parse=lambda obj: (corpus.parse_registration_record(obj), obj)[1],
+        ingestion.FixtureSource.from_dir(_require(data_dir / ingestion.REGISTRATIONS_DIR, "simulate")),
+        keep_registration,
     )
     txs: list[dict] = []
+
+    def keep_transaction(obj: dict) -> None:
+        tx_analysis.parse_transaction_record(obj)
+        txs.append(obj)
+
     tx_counts = ingestion.DrainCounts()
-    if layout["txs"].exists():
-        tx_counts = ingestion.drain(
-            ingestion.FixtureSource.from_dir(layout["txs"]),
-            txs.append,
-            parse=lambda obj: (tx_analysis.parse_transaction_record(obj), obj)[1],
-        )
-    if layout["utxos"].exists():
+    if (data_dir / ingestion.TXS_DIR).exists():
+        tx_counts = ingestion.drain(ingestion.FixtureSource.from_dir(data_dir / ingestion.TXS_DIR), keep_transaction)
+    if (data_dir / ingestion.UTXOS_DIR).exists():
         expanded: list[dict] = []
 
         def expand(obj: dict) -> None:
@@ -132,7 +137,7 @@ def cmd_ingest(args) -> int:
                     }
                 )
 
-        utxo_counts = ingestion.drain(ingestion.FixtureSource.from_dir(layout["utxos"]), expand)
+        utxo_counts = ingestion.drain(ingestion.FixtureSource.from_dir(data_dir / ingestion.UTXOS_DIR), expand)
         txs.extend(expanded)
         tx_counts.fetched += utxo_counts.fetched
         tx_counts.parsed += utxo_counts.parsed
@@ -140,10 +145,9 @@ def cmd_ingest(args) -> int:
 
     _write_jsonl(out / "registrations.jsonl", regs)
     _write_jsonl(out / "transactions.jsonl", txs)
-    if layout["prices"].exists():
-        _atomic_write(out / "prices.csv", layout["prices"].read_text())
-    if layout["labels"].exists():
-        _atomic_write(out / "labels.jsonl", layout["labels"].read_text())
+    for name in (ingestion.PRICES_FILE, ingestion.LABELS_FILE):
+        if (data_dir / name).exists():
+            _atomic_write(out / name, (data_dir / name).read_text())
     print(
         f"ingest: registrations {counts.parsed}/{counts.fetched} "
         f"(failed {counts.failed}), transactions {tx_counts.parsed}/{tx_counts.fetched} "
@@ -166,7 +170,8 @@ def _load_labels(out: Path) -> ground_truth.AddressLabelSet:
     path = out / "ingested" / "labels.jsonl"
     if not path.exists():
         return ground_truth.AddressLabelSet()
-    return ground_truth.AddressLabelSet.from_records(_read_jsonl(path)[1])
+    lines, records = _read_jsonl(path)
+    return ground_truth.AddressLabelSet.from_records(records, lines)
 
 
 def _load_prices(out: Path) -> tx_analysis.PriceTable | None:
@@ -320,7 +325,7 @@ def cmd_analyze_tx(args) -> int:
     _write_csv(
         out / "tx" / "time_deltas.csv",
         ["delta_days"],
-        [[f"{d:.4f}"] for d in tx_analysis.time_deltas(records)],
+        [[f"{r.delta_days:.4f}"] for r in records],
     )
     _atomic_write(out / "tx" / "funds_summary.json", json.dumps(summary, sort_keys=True, indent=1) + "\n")
     print(f"analyze-tx: {len(records)} common-sender records -> {out / 'tx'}")

@@ -26,7 +26,8 @@ _UD_NS_RE = re.compile(r"^ud:([a-z0-9]+)$")
 
 
 def _valid_namespace(namespace: str) -> bool:
-    return namespace == "eth" or namespace == "adah" or bool(_UD_NS_RE.match(namespace))
+    """eth, adah, or ud:<tld> for any TLD but eth, whose display would be an ENS name's."""
+    return namespace in ("eth", "adah") or (namespace != "ud:eth" and bool(_UD_NS_RE.match(namespace)))
 
 
 def _to_punycode(label: str) -> str:
@@ -106,17 +107,14 @@ def parse_display(display: str) -> Name:
     return Name(_to_punycode(label), namespace)
 
 
-def namespace_for_source(source: str) -> str | None:
-    """Fixed namespace for sources that imply one; UD sources carry per-record TLDs."""
-    return {"ens": "eth", "adah": "adah"}.get(source)
-
-
 def infer_namespace(display: str, source: str, line: int | None = None) -> str:
     """Work out the namespace of a fixture display form given its source; a UD
-    display without a TLD is a ParseError at ``line``."""
-    ns = namespace_for_source(source)
-    if ns is not None:
-        return ns
+    display without a TLD is a ParseError at ``line``. ENS and ADA Handle sources
+    imply their namespace; UD sources carry per-record TLDs."""
+    if source == "ens":
+        return "eth"
+    if source == "adah":
+        return "adah"
     if source not in SOURCES:
         raise UnknownNamespace(f"unknown source {source!r}")
     return "ud:" + _tld(display, line)

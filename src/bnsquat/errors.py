@@ -55,7 +55,7 @@ class InsufficientNames(BnsquatError):
 
 
 class SourceExhaustedAbnormally(BnsquatError):
-    """A source's failure rate exceeded the configured ceiling."""
+    """More than 1% of a source's records failed to parse."""
 
 
 class MissingPrerequisite(BnsquatError):

@@ -7,11 +7,12 @@ target set.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .corpus import Dataset, Name, is_subdomain
+from .corpus import Dataset, Name, is_subdomain, require_fields
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -46,21 +47,28 @@ class AddressLabelSet:
             raise ValueError("exchange and token-contract sets must be disjoint")
 
     @classmethod
-    def from_records(cls, records: Iterable[dict]) -> "AddressLabelSet":
-        """Build from label fixture records {address, kind, is_coinbase}."""
+    def from_records(cls, records: Iterable[dict], lines: Iterable[int] | None = None) -> "AddressLabelSet":
+        """Build from label fixture records {address, kind, is_coinbase}; a
+        malformed record, or an address given both kinds, is a ParseError naming
+        the line and field. ``lines`` gives each record's line in its file; by
+        default records are numbered from 1."""
         labels = cls()
-        for i, obj in enumerate(records):
-            if "address" not in obj or "kind" not in obj:
-                raise ParseError("label record needs address and kind", line=i + 1)
+        for line, obj in zip(itertools.count(1) if lines is None else lines, records):
+            require_fields(obj, ("address", "kind"), line)
             addr, kind = obj["address"], obj["kind"]
+            if not isinstance(addr, str):
+                raise ParseError(f"address must be a string: {addr!r}", line=line, field="address")
             if kind == "exchange":
-                labels.exchange_addresses.add(addr)
-                if obj.get("is_coinbase"):
-                    labels.coinbase_addresses.add(addr)
+                own, other = labels.exchange_addresses, labels.token_contracts
             elif kind == "token_contract":
-                labels.token_contracts.add(addr)
+                own, other = labels.token_contracts, labels.exchange_addresses
             else:
-                raise ParseError(f"unknown label kind {kind!r}", line=i + 1, field="kind")
+                raise ParseError(f"unknown label kind {kind!r}", line=line, field="kind")
+            if addr in other:
+                raise ParseError(f"{addr} is labelled both exchange and token_contract", line=line, field="kind")
+            own.add(addr)
+            if kind == "exchange" and obj.get("is_coinbase"):
+                labels.coinbase_addresses.add(addr)
         return labels
 
     @property

@@ -1,23 +1,19 @@
-"""Source abstractions for names, transactions, and prices.
+"""The fixture source and the drain loop that reads it.
 
-Fixture-backed sources are the default and the only ones exercised by the test
-suite; live adapters (subgraph/explorer clients) can implement the same
-interfaces behind credentials supplied via environment variables.
+A fixture source pages over the concatenated lines of a directory's JSONL files.
+``drain`` reads every page and hands each decoded record to a sink, which
+validates the record before keeping it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import time
-from collections import deque
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 from .errors import SourceExhaustedAbnormally
-from .tx_analysis import PriceTable
 
 log = logging.getLogger(__name__)
 
@@ -32,23 +28,16 @@ PRICES_FILE = "prices.csv"
 LABELS_FILE = "labels.jsonl"
 
 
-class PagedSource(Protocol):
-    """Anything serving raw records a page at a time; cursors are opaque text."""
-
-    def fetch_page(self, cursor: str | None) -> tuple[list[str], str | None]: ...
-
-
 class FixtureSource:
     """Pages over the concatenated lines of one or more JSONL fixture files."""
 
-    def __init__(self, paths: Iterable[Path], page_size: int = DEFAULT_PAGE_SIZE):
+    def __init__(self, paths: Iterable[Path]):
         self._paths = sorted(Path(p) for p in paths)
-        self._page_size = page_size
         self._lines: list[str] | None = None
 
     @classmethod
-    def from_dir(cls, directory: Path, page_size: int = DEFAULT_PAGE_SIZE) -> "FixtureSource":
-        return cls(Path(directory).glob("*.jsonl"), page_size)
+    def from_dir(cls, directory: Path) -> "FixtureSource":
+        return cls(Path(directory).glob("*.jsonl"))
 
     def _load(self) -> list[str]:
         if self._lines is None:
@@ -60,9 +49,10 @@ class FixtureSource:
         return self._lines
 
     def fetch_page(self, cursor: str | None) -> tuple[list[str], str | None]:
+        """One page of raw lines and the cursor of the next page, None after the last."""
         lines = self._load()
         start = int(cursor) if cursor else 0
-        end = min(start + self._page_size, len(lines))
+        end = min(start + DEFAULT_PAGE_SIZE, len(lines))
         next_cursor = str(end) if end < len(lines) else None
         return lines[start:end], next_cursor
 
@@ -74,16 +64,11 @@ class DrainCounts:
     failed: int = 0
 
 
-def drain(
-    source: PagedSource,
-    sink: Callable[[dict], None],
-    parse: Callable[[dict], dict] | None = None,
-    failure_ceiling: float = DEFAULT_FAILURE_CEILING,
-) -> DrainCounts:
-    """Iterate pagination to exhaustion, pushing parsed records into the sink.
+def drain(source: FixtureSource, sink: Callable[[dict], None]) -> DrainCounts:
+    """Iterate pagination to exhaustion, pushing each decoded record into the sink.
 
-    Individual record failures are counted, not fatal, unless the overall
-    failure rate exceeds the ceiling.
+    A record that is not JSON, or that the sink rejects by raising, is counted
+    and skipped; SourceExhaustedAbnormally if more than 1% of records fail.
     """
     counts = DrainCounts()
     cursor: str | None = None
@@ -92,75 +77,15 @@ def drain(
         for raw in records:
             counts.fetched += 1
             try:
-                obj = json.loads(raw)
-                if parse is not None:
-                    obj = parse(obj)
-                sink(obj)
+                sink(json.loads(raw))
                 counts.parsed += 1
             except Exception as exc:
                 counts.failed += 1
                 log.warning("record %d failed to parse: %s", counts.fetched, exc)
         if cursor is None:
             break
-    if counts.fetched and counts.failed / counts.fetched > failure_ceiling:
+    if counts.fetched and counts.failed / counts.fetched > DEFAULT_FAILURE_CEILING:
         raise SourceExhaustedAbnormally(
-            f"{counts.failed}/{counts.fetched} records failed (ceiling {failure_ceiling:.0%})"
+            f"{counts.failed}/{counts.fetched} records failed (ceiling {DEFAULT_FAILURE_CEILING:.0%})"
         )
     return counts
-
-
-class RateLimitedSource:
-    """Wrapper enforcing a request budget over a sliding interval."""
-
-    def __init__(self, source: PagedSource, budget: int, interval: float = 1.0,
-                 clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep):
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        self._source = source
-        self._budget = budget
-        self._interval = interval
-        self._clock = clock
-        self._sleep = sleep
-        self._stamps: deque[float] = deque()
-
-    def fetch_page(self, cursor: str | None) -> tuple[list[str], str | None]:
-        now = self._clock()
-        while self._stamps and now - self._stamps[0] >= self._interval:
-            self._stamps.popleft()
-        if len(self._stamps) >= self._budget:
-            wait = self._interval - (now - self._stamps[0])
-            if wait > 0:
-                self._sleep(wait)
-            now = self._clock()
-            while self._stamps and now - self._stamps[0] >= self._interval:
-                self._stamps.popleft()
-        self._stamps.append(self._clock())
-        return self._source.fetch_page(cursor)
-
-
-class FixturePriceSource:
-    """PriceSource over the fixture prices.csv."""
-
-    def __init__(self, table: PriceTable):
-        self._table = table
-
-    @classmethod
-    def from_path(cls, path: Path) -> "FixturePriceSource":
-        with open(path) as fh:
-            return cls(PriceTable.from_csv(fh))
-
-    def rate(self, day: date, asset: str) -> float:
-        return self._table.rate(day, asset)
-
-
-def fixture_layout(data_dir: Path) -> dict[str, Path]:
-    """Resolve the standard fixture paths under a data directory."""
-    data_dir = Path(data_dir)
-    return {
-        "registrations": data_dir / REGISTRATIONS_DIR,
-        "txs": data_dir / TXS_DIR,
-        "utxos": data_dir / UTXOS_DIR,
-        "prices": data_dir / PRICES_FILE,
-        "labels": data_dir / LABELS_FILE,
-    }

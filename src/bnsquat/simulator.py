@@ -90,10 +90,6 @@ class Manifest:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Manifest":
-        return cls(**obj)
-
 
 def _source_for(namespace: str) -> str:
     if namespace == "eth":

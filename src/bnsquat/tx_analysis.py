@@ -1,8 +1,7 @@
 """Transaction-level success metrics for squatters.
 
 Covers UTXO expansion into per-input transactions, sender classification,
-common-sender discovery across legitimate/typo pairs, USD conversion, and
-transaction time deltas.
+common-sender discovery across legitimate/typo pairs, and USD conversion.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import logging
 import math
 import statistics
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from typing import Iterable, Mapping
 
@@ -297,38 +296,14 @@ def common_senders(
 class FundsSummary:
     mean_usd: float
     median_usd: float
-    per_pair_totals: dict[tuple[str, str], float] = field(default_factory=dict, hash=False)
 
 
 def funds_summary(records: list[CommonSenderRecord], prices: PriceTable) -> FundsSummary:
     """Per-transaction USD mean/median over funds sent to typo names."""
-    values: list[float] = []
-    per_pair: dict[tuple[str, str], float] = defaultdict(float)
-    for record in records:
-        pair = (record.target_name.display, record.typo_name.display)
-        for tx in record.typo_txs:
-            usd = to_usd(tx, prices)
-            values.append(usd)
-            per_pair[pair] += usd
+    values = [to_usd(tx, prices) for record in records for tx in record.typo_txs]
     if not values:
-        return FundsSummary(0.0, 0.0, {})
-    return FundsSummary(
-        mean_usd=statistics.fmean(values),
-        median_usd=statistics.median(values),
-        per_pair_totals=dict(per_pair),
-    )
-
-
-def funds_summary_values(values: list[float]) -> tuple[float, float]:
-    """Mean/median of raw per-transaction USD values."""
-    if not values:
-        return 0.0, 0.0
-    return statistics.fmean(values), statistics.median(values)
-
-
-def time_deltas(records: list[CommonSenderRecord]) -> list[float]:
-    """Signed day deltas, one per common-sender record."""
-    return [record.delta_days for record in records]
+        return FundsSummary(0.0, 0.0)
+    return FundsSummary(mean_usd=statistics.fmean(values), median_usd=statistics.median(values))
 
 
 def all_senders_counts(

@@ -162,7 +162,6 @@ def check(
     blocklist: Container[Name],
     popular: NameIndex,
     recipient: Name,
-    alphabet: str | None = None,
 ) -> GuardVerdict:
     """Evaluate a recipient against history and the cold/warm rules.
 
@@ -170,12 +169,11 @@ def check(
     popular name warns (cold), reporting the display-smallest one; variant of a
     history name warns (warm), reporting the earliest entry; else allow.
     """
-    if alphabet is None:
-        alphabet = alphabet_for_namespace(recipient.namespace)
     if recipient in history:
         return GuardVerdict(Decision.ALLOW)
     if recipient in blocklist:
         return GuardVerdict(Decision.WARN, Reason.COLD_BLOCKLIST)
+    alphabet = alphabet_for_namespace(recipient.namespace)
     # Display order is not label order ("ab-c.eth" < "ab.eth"), so compare displays.
     hit = min(_variants_of(recipient, popular.near(recipient), alphabet), key=lambda h: h[0].display, default=None)
     if hit:

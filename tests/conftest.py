@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 import pytest
 
 from bnsquat.corpus import Name, Registration, build_dataset
+from bnsquat.tx_analysis import CommonSenderRecord, PriceTable, Transaction, funds_summary
 
 
 def ts(year, month=1, day=1, hour=0):
@@ -40,3 +41,15 @@ def small_dataset():
             reg("unrelated.eth", "0xowner3", {"ETH": "0xres6"}, ts(2019, 1, 1)),
         ]
     )
+
+
+def funds_of(values):
+    """(mean, median) from ``funds_summary`` over one common-sender record whose
+    typo transactions carry ``values`` in ETH at a rate of 1.0 on one day."""
+    when = ts(2021, 6, 1)
+    typo_txs = tuple(Transaction(f"0x{i}", "0xs", "0xtypo", v, "ETH", when) for i, v in enumerate(values))
+    record = CommonSenderRecord(
+        "0xs", "non_custodial", Name("target", "eth"), Name("ttarget", "eth"), (), typo_txs, None, 0.0
+    )
+    summary = funds_summary([record], PriceTable({(when.date(), "ETH"): 1.0}))
+    return summary.mean_usd, summary.median_usd

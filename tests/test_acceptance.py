@@ -24,7 +24,6 @@ from bnsquat.tx_analysis import (
     UtxoRecord,
     classify_sender,
     common_senders,
-    funds_summary_values,
     parse_transaction_record,
     utxo_expand,
 )
@@ -37,7 +36,7 @@ from bnsquat.typo_models import (
 )
 from bnsquat.typoguard import Decision, GuardHistory, NameIndex, Reason, check, record_send
 
-from conftest import reg, ts
+from conftest import funds_of, reg, ts
 
 ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -364,7 +363,7 @@ def test_criterion_10_usd_statistics_and_buckets():
     worst = 0.0
     for _ in range(1_000):
         values = [rng.uniform(0, 1e6) for _ in range(rng.randint(1, 200))]
-        mean, median = funds_summary_values(values)
+        mean, median = funds_of(values)
         ordered = sorted(values)
         oracle_mean = sum(ordered) / len(ordered)
         n = len(ordered)

@@ -314,6 +314,39 @@ def test_bad_price_row_is_data_error_naming_line(pipeline_dir, tmp_path, capsys,
     assert f"(line 3, field '{field}')" in data_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("5", "(line 3)"),
+        ('{"address": "0xa", "kind": "mixer"}', "(line 3, field 'kind')"),
+        ('{"address": "0xa", "kind": "exchange"}\n{"address": "0xa", "kind": "token_contract"}', "(line 4, field 'kind')"),
+    ],
+    ids=["not-an-object", "unknown-kind", "both-kinds"],
+)
+def test_bad_label_record_is_data_error_naming_line(pipeline_dir, tmp_path, capsys, text, where):
+    out = copy_pipeline(pipeline_dir, tmp_path)
+    labels = out / "ingested" / "labels.jsonl"
+    labels.write_text("\n\n" + text + "\n" + labels.read_text())
+    assert main(["score", "--out", str(out)]) == 3
+    assert where in data_error(capsys)
+
+
+def test_ud_record_displayed_like_an_ens_name_is_data_error(tmp_path, capsys):
+    johndoe = {"display": "johndoe.eth", "owner": "0x1", "registered_at": "2020-01-01T00:00:00Z"}
+    records = [dict(johndoe, source="ens"), dict(johndoe, source="ud-eth")]
+    regs = tmp_path / "data" / "registrations"
+    regs.mkdir(parents=True)
+    (regs / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    assert main(["ingest", "--out", str(out), "--data-dir", str(tmp_path / "data")]) == 3
+    assert "1/2 records failed" in data_error(capsys)
+    ingested = out / "ingested" / "registrations.jsonl"
+    ingested.parent.mkdir(parents=True, exist_ok=True)
+    ingested.write_text((regs / "corpus.jsonl").read_text())
+    assert main(["score", "--out", str(out)]) == 3
+    assert "(line 2, field 'display')" in data_error(capsys)
+
+
 @pytest.mark.parametrize("field", ["target", "squats", "defensive", "model", "position"])
 def test_malformed_cluster_is_data_error(pipeline_dir, tmp_path, capsys, field):
     out = copy_pipeline(pipeline_dir, tmp_path)

@@ -155,6 +155,19 @@ def test_parse_error_carries_line_number():
     assert err.value.field == "registered_at"
 
 
+def test_ud_record_displayed_like_an_ens_name_is_a_parse_error():
+    """A UD TLD of eth would give the ENS name's display, so ud:eth is no namespace."""
+    johndoe = {"display": "johndoe.eth", "owner": "0x1", "registered_at": "2020-01-01T00:00:00Z"}
+    with pytest.raises(ParseError) as err:
+        load_registrations([dict(johndoe, source="ens"), dict(johndoe, source="ud-eth")])
+    assert (err.value.line, err.value.field) == (2, "display")
+    with pytest.raises(ParseError) as err:
+        load_registrations([dict(johndoe, source="ud-eth", namespace="ud:eth")])
+    assert (err.value.line, err.value.field) == (1, "namespace")
+    with pytest.raises(UnknownNamespace):
+        Name("johndoe", "ud:eth")
+
+
 def test_iter_jsonl_reports_bad_line():
     with pytest.raises(ParseError) as err:
         list(iter_jsonl(['{"ok": 1}', "not json"]))

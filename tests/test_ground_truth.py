@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnsquat.corpus import build_dataset
+from bnsquat.errors import ParseError
 from bnsquat.ground_truth import (
     AddressLabelSet,
     WalletStats,
@@ -90,6 +91,32 @@ def test_label_set_from_records():
     assert labels.coinbase_addresses == {"0xcb"}
     assert labels.exchange_addresses == {"0xcb", "0xex"}
     assert labels.token_contracts == {"0xtok"}
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (5, None),
+        ({"kind": "exchange"}, "address"),
+        ({"address": ["0xa"], "kind": "exchange"}, "address"),
+        ({"address": "0xa", "kind": "mixer"}, "kind"),
+        ({"address": "0xtok", "kind": "exchange"}, "kind"),
+        ({"address": "0xcb", "kind": "token_contract"}, "kind"),
+    ],
+    ids=["not-an-object", "no-address", "address-not-a-string", "unknown-kind", "token-then-exchange",
+         "exchange-then-token"],
+)
+def test_label_record_errors_name_the_file_line(record, field):
+    """Records are numbered by the file lines given, as after blank lines; an
+    address labelled both exchange and token_contract is an error in either order."""
+    records = [
+        {"address": "0xtok", "kind": "token_contract"},
+        {"address": "0xcb", "kind": "exchange", "is_coinbase": True},
+        record,
+    ]
+    with pytest.raises(ParseError) as err:
+        AddressLabelSet.from_records(records, [1, 2, 5])
+    assert (err.value.line, err.value.field) == (5, field)
 
 
 def _target_dataset():

@@ -5,14 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bnsquat.cli import main
 from bnsquat.errors import SourceExhaustedAbnormally
-from bnsquat.ingestion import (
-    FixturePriceSource,
-    FixtureSource,
-    RateLimitedSource,
-    drain,
-    fixture_layout,
-)
+from bnsquat.ingestion import FixtureSource, drain
 
 
 class ListSource:
@@ -50,27 +45,36 @@ def test_drain_empty_source():
 def test_drain_tolerates_failures_below_ceiling():
     lines = json_lines(99) + ["not json"]
     out = []
-    counts = drain(ListSource(lines), out.append, failure_ceiling=0.02)
+    counts = drain(ListSource(lines), out.append)
     assert counts.failed == 1 and counts.parsed == 99
     assert len(out) == 99
 
 
 def test_drain_raises_above_ceiling():
-    lines = json_lines(5) + ["bad"] * 5
+    lines = json_lines(98) + ["bad"] * 2
     with pytest.raises(SourceExhaustedAbnormally):
-        drain(ListSource(lines), lambda _: None, failure_ceiling=0.01)
+        drain(ListSource(lines), lambda _: None)
 
 
-def test_drain_applies_parse_and_counts_parse_failures():
-    def parse(obj):
-        if obj["i"] % 2:
-            raise ValueError("odd")
-        return obj
+def test_drain_counts_sink_failures():
+    def sink(obj):
+        if obj["i"] == 37:
+            raise ValueError("rejected")
+        out.append(obj)
 
     out = []
-    counts = drain(ListSource(json_lines(10)), out.append, parse=parse, failure_ceiling=0.6)
-    assert [o["i"] for o in out] == [0, 2, 4, 6, 8]
-    assert counts.failed == 5
+    counts = drain(ListSource(json_lines(100)), sink)
+    assert [o["i"] for o in out] == [i for i in range(100) if i != 37]
+    assert (counts.fetched, counts.parsed, counts.failed) == (100, 99, 1)
+
+
+def test_drain_raises_when_the_sink_rejects_more_than_one_percent():
+    def sink(obj):
+        if obj["i"] < 2:
+            raise ValueError("rejected")
+
+    with pytest.raises(SourceExhaustedAbnormally):
+        drain(ListSource(json_lines(100)), sink)
 
 
 @given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=17))
@@ -83,68 +87,35 @@ def test_pagination_soundness(n, page_size):
 
 
 def test_fixture_source_reads_sorted_files(tmp_path):
-    (tmp_path / "b.jsonl").write_text('{"x": 2}\n')
-    (tmp_path / "a.jsonl").write_text('{"x": 1}\n\n')
-    source = FixtureSource.from_dir(tmp_path, page_size=1)
+    (tmp_path / "b.jsonl").write_text("".join(json.dumps({"x": i}) + "\n" for i in range(150, 250)))
+    (tmp_path / "a.jsonl").write_text("".join(json.dumps({"x": i}) + "\n\n" for i in range(150)))
+    source = FixtureSource.from_dir(tmp_path)
     out = []
-    drain(source, out.append)
-    assert [o["x"] for o in out] == [1, 2]
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps = []
-
-    def __call__(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-
-def test_rate_limiter_sleeps_when_budget_exhausted():
-    clock = FakeClock()
-    inner = ListSource(json_lines(100), page_size=1)
-    limited = RateLimitedSource(inner, budget=2, interval=1.0, clock=clock, sleep=clock.sleep)
-    cursor = None
-    for _ in range(5):
-        _, cursor = limited.fetch_page(cursor)
-    # 5 requests at budget 2/interval: sleeps before requests 3 and 5
-    assert len(clock.sleeps) == 2
-    assert all(s == pytest.approx(1.0) for s in clock.sleeps)
-
-
-def test_rate_limiter_no_sleep_when_spread_out():
-    clock = FakeClock()
-    limited = RateLimitedSource(
-        ListSource(json_lines(10), page_size=1), budget=1, interval=1.0,
-        clock=clock, sleep=clock.sleep,
-    )
-    cursor = None
-    for _ in range(3):
-        _, cursor = limited.fetch_page(cursor)
-        clock.now += 2.0
-    assert clock.sleeps == []
-
-
-def test_rate_limiter_rejects_zero_budget():
-    with pytest.raises(ValueError):
-        RateLimitedSource(ListSource([]), budget=0)
-
-
-def test_fixture_price_source(tmp_path):
-    path = tmp_path / "prices.csv"
-    path.write_text("date,asset,usd_close\n2021-01-01,ETH,1000.0\n")
-    source = FixturePriceSource.from_path(path)
-    from datetime import date
-
-    assert source.rate(date(2021, 1, 1), "ETH") == 1000.0
+    counts = drain(source, out.append)
+    assert [o["x"] for o in out] == list(range(250))
+    assert counts.fetched == 250
 
 
 def test_fixture_layout(tmp_path):
-    layout = fixture_layout(tmp_path)
-    assert layout["registrations"] == tmp_path / "registrations"
-    assert layout["prices"].name == "prices.csv"
-    assert set(layout) == {"registrations", "txs", "utxos", "prices", "labels"}
+    """ingest reads registrations/, txs/ and utxos/ and copies prices.csv and labels.jsonl."""
+    data = tmp_path / "data"
+    for sub, record in (
+        ("registrations", {"display": "abcde.eth", "owner": "0xo", "registered_at": "2021-01-01T00:00:00Z",
+                           "source": "ens", "resolution": {"ETH": "0xr"}}),
+        ("txs", {"hash": "0x1", "sender": "0xs", "receiver": "0xr", "amount": 1.0, "asset": "ETH",
+                 "timestamp": "2021-02-01T00:00:00Z"}),
+        ("utxos", {"hash": "0x2", "inputs": ["a1", "a2"], "output": "a3", "amount": 10.0,
+                   "timestamp": "2021-03-01T00:00:00Z"}),
+    ):
+        (data / sub).mkdir(parents=True)
+        (data / sub / "part.jsonl").write_text(json.dumps(record) + "\n")
+    (data / "prices.csv").write_text("date,asset,usd_close\n2021-02-01,ETH,1000.0\n")
+    (data / "labels.jsonl").write_text('{"address": "0xcb", "kind": "exchange"}\n')
+    out = tmp_path / "out"
+    assert main(["ingest", "--data-dir", str(data), "--out", str(out)]) == 0
+    ingested = out / "ingested"
+    assert len((ingested / "registrations.jsonl").read_text().splitlines()) == 1
+    txs = [json.loads(line) for line in (ingested / "transactions.jsonl").read_text().splitlines()]
+    assert [(t["hash"], t["sender"]) for t in txs] == [("0x1", "0xs"), ("0x2", "a1"), ("0x2", "a2")]
+    assert (ingested / "prices.csv").read_text() == (data / "prices.csv").read_text()
+    assert (ingested / "labels.jsonl").read_text() == (data / "labels.jsonl").read_text()
